@@ -7,21 +7,21 @@ rate as given and applies the wage ceiling; the coupled solver closes the
 loop by finding the rental rate at which compute supplied equals agent
 compute use plus any exogenous compute demand.
 
-All root searches run on log price over an initial bracket
-[1e-9, 1e9], expanded geometrically a bounded number of times, which is
-scale-free and robust for iso-elastic curves. Solvers allocate no global
-state; independent scenarios may be solved concurrently.
+Root searches go through :func:`caw.roots.find_root`: Brent's method on
+log price over the initial bracket [1e-9, 1e9], expanded geometrically a
+bounded number of times, which is scale-free and robust for iso-elastic
+curves. Solvers allocate no global state; independent scenarios may be
+solved concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import constants
 from .bound import caw_ceiling, classify_regime
-from .errors import DegenerateCeiling, InvalidInput, NoConvergence, NoEquilibrium
+from .errors import DegenerateCeiling, InvalidInput, NoEquilibrium
 from .model import (
     CurveKind,
     EquilibriumResult,
@@ -29,6 +29,7 @@ from .model import (
     Regime,
     Scenario,
 )
+from .roots import find_root
 
 
 @dataclass(frozen=True)
@@ -48,59 +49,6 @@ def _check_kinds(supply: IsoElasticCurve, demand: IsoElasticCurve) -> None:
         raise InvalidInput("demand argument is not a demand curve")
 
 
-def _bracket_root(
-    excess: Callable[[float], float],
-    *,
-    abs_tol: float,
-    rel_tol: float = constants.PRICE_REL_TOL,
-    max_iter: int = constants.MAX_ITER,
-) -> tuple[float, int, float]:
-    """Bisection on log price for a decreasing excess-demand function.
-
-    Returns (price, iterations, residual). Expands the initial bracket
-    geometrically up to BRACKET_EXPANSIONS times before declaring
-    NoEquilibrium.
-    """
-    lo = math.log(constants.BRACKET_LO)
-    hi = math.log(constants.BRACKET_HI)
-    f_lo = excess(math.exp(lo))
-    f_hi = excess(math.exp(hi))
-    expansions = 0
-    width = hi - lo
-    while f_lo * f_hi > 0.0 and expansions < constants.BRACKET_EXPANSIONS:
-        lo -= width
-        hi += width
-        f_lo = excess(math.exp(lo))
-        f_hi = excess(math.exp(hi))
-        expansions += 1
-    if f_lo == 0.0:
-        return math.exp(lo), 0, 0.0
-    if f_hi == 0.0:
-        return math.exp(hi), 0, 0.0
-    if f_lo * f_hi > 0.0:
-        raise NoEquilibrium("excess demand has no sign change on the price bracket")
-    # Excess demand is decreasing in price: positive at lo, negative at hi.
-    if f_lo < 0.0:
-        lo, hi = hi, lo
-    iterations = 0
-    while iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        f_mid = excess(math.exp(mid))
-        # Price precision first (log width is relative width); the excess
-        # tolerance is required on top of it unless the bracket has already
-        # collapsed to float resolution.
-        width = abs(hi - lo)
-        converged = width <= rel_tol and (abs(f_mid) <= abs_tol or width <= 4e-16)
-        if f_mid == 0.0 or converged:
-            return math.exp(mid), iterations, abs(f_mid)
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    raise NoConvergence("price search hit the iteration cap", abs(f_mid), iterations)
-
-
 def clear_market(
     supply: IsoElasticCurve,
     demand: IsoElasticCurve,
@@ -111,7 +59,7 @@ def clear_market(
     """Unique price with supply(p) == demand(p).
 
     ``method="closed_form"`` uses p* = (D0/S0)**(1/(es+ed)); the
-    ``"root_search"`` method runs the bracketing bisection on log price.
+    ``"root_search"`` method runs the bracketed Brent search on log price.
     The two agree to PRICE_REL_TOL and the test suite cross-checks them.
 
     When both curves are perfectly inelastic the quantity is pinned and any
@@ -128,7 +76,12 @@ def clear_market(
             f"({supply.scale!r} vs {demand.scale!r})"
         )
     if method == "closed_form":
-        price = (demand.scale / supply.scale) ** (1.0 / total_elasticity)
+        try:
+            price = (demand.scale / supply.scale) ** (1.0 / total_elasticity)
+        except OverflowError:
+            price = math.inf
+        if not 0.0 < price < math.inf:
+            raise NoEquilibrium(f"clearing price {price!r} lies outside the floating-point range")
         quantity = supply.quantity(price)
         residual = abs(demand.quantity(price) - supply.quantity(price))
         return ClearingPoint(price=price, quantity=quantity, iterations=0, residual=residual)
@@ -138,9 +91,12 @@ def clear_market(
         def excess(p: float) -> float:
             return demand.quantity(p) - supply.quantity(p)
 
-        price, iterations, residual = _bracket_root(excess, abs_tol=abs_tol, rel_tol=tol)
+        report = find_root(excess, abs_tol=abs_tol, rel_tol=tol)
         return ClearingPoint(
-            price=price, quantity=supply.quantity(price), iterations=iterations, residual=residual
+            price=report.root,
+            quantity=supply.quantity(report.root),
+            iterations=report.iterations,
+            residual=report.residual,
         )
     raise InvalidInput(f"unknown clearing method {method!r}")
 
@@ -243,14 +199,29 @@ def solve_coupled(
     """Fixed point where compute supplied equals agent use plus exogenous demand.
 
     At each candidate rental rate the capped labor market determines agent
-    labor and hence derived compute demand k * l_a; bisection on log rental
-    rate drives total excess compute demand to zero. Any shift that moves
-    the rental rate moves the wage ceiling in lockstep.
+    labor and hence derived compute demand k * l_a; a bracketed Brent search
+    on log rental rate drives total excess compute demand to zero. Any shift
+    that moves the rental rate moves the wage ceiling in lockstep.
+
+    The uncapped clearing wage does not depend on the rental rate, so the
+    labor market is cleared once; each excess evaluation then only places
+    the ceiling against it, with the arithmetic of
+    :func:`solve_capped_labor_market`.
     """
     abs_tol = tol if tol is not None else constants.EXCESS_ABS_TOL_SCALE * s.compute_supply.scale
+    tech, policy = s.technology, s.policy
+    labor_demand, labor_supply = s.labor_demand_ts, s.labor_supply_ts
+    w_clear = clear_market(labor_supply, labor_demand).price
 
     def excess(r_c: float) -> float:
-        derived = solve_capped_labor_market(s, r_c).k_c_star
+        ceiling = caw_ceiling(tech, r_c, policy)
+        if ceiling == 0.0:
+            derived = solve_capped_labor_market(s, r_c).k_c_star
+        elif w_clear <= ceiling:
+            derived = 0.0
+        else:
+            gap = labor_demand.quantity(ceiling) - labor_supply.quantity(ceiling)
+            derived = tech.k * (tech.lam * max(0.0, gap))
         exogenous = (
             s.compute_demand_exogenous.quantity(r_c)
             if s.compute_demand_exogenous is not None
@@ -258,10 +229,8 @@ def solve_coupled(
         )
         return derived + exogenous - s.compute_supply.quantity(r_c)
 
-    r_star, _iterations, _residual = _bracket_root(
-        excess, abs_tol=abs_tol, rel_tol=constants.PRICE_REL_TOL, max_iter=max_iter
-    )
-    return solve_capped_labor_market(s, r_star)
+    report = find_root(excess, abs_tol=abs_tol, rel_tol=constants.PRICE_REL_TOL, max_iter=max_iter)
+    return solve_capped_labor_market(s, report.root)
 
 
 def solve_scenario(s: Scenario, mode: str = "capped") -> EquilibriumResult:

@@ -94,13 +94,16 @@ class IsoElasticCurve:
     elasticity: float
 
     def quantity(self, price: float) -> float:
-        """Quantity at ``price`` (> 0)."""
+        """Quantity at ``price`` (> 0); ``inf`` where the power overflows."""
         if price <= 0.0 or not math.isfinite(price):
             raise InvalidInput(f"curve evaluated at non-positive price {price!r}")
         if self.elasticity == 0.0:
             return self.scale
         exponent = self.elasticity if self.kind is CurveKind.SUPPLY else -self.elasticity
-        return self.scale * price**exponent
+        try:
+            return self.scale * price**exponent
+        except OverflowError:
+            return math.inf
 
 
 def supply_curve(scale: float, elasticity: float) -> IsoElasticCurve:

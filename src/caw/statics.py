@@ -33,9 +33,10 @@ from typing import Sequence
 
 from . import constants
 from .ces import relative_wage
-from .errors import CeilingNotBinding, Infeasible, InvalidInput, NoConvergence
+from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoConvergence
 from .markets import clear_market, solve_scenario
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, Scenario, Technology
+from .roots import expand_bracket
 
 
 @dataclass(frozen=True)
@@ -168,16 +169,7 @@ def solve_statics_point(
             return 1.0  # humans oversupplied: implied wage collapses to zero
         return log_w - math.log(su.w_a_eff * relative_wage(su.ces, l_h, l_a))
 
-    lo = math.log(constants.BRACKET_LO)
-    hi = math.log(constants.BRACKET_HI)
-    g_lo, g_hi = gap(lo), gap(hi)
-    expansions = 0
-    width = hi - lo
-    while g_lo * g_hi > 0.0 and expansions < constants.BRACKET_EXPANSIONS:
-        lo -= width
-        hi += width
-        g_lo, g_hi = gap(lo), gap(hi)
-        expansions += 1
+    lo, hi, g_lo, g_hi, _expansions = expand_bracket(gap)
     if g_lo * g_hi > 0.0:
         raise NoConvergence("wage gap has no sign change on the bracket", min(abs(g_lo), abs(g_hi)), 0)
 
@@ -353,6 +345,6 @@ def sweep(
         point = scenario_with(s, param_path, value)
         try:
             rows.append(SweepRow(value=value, result=solve_scenario(point, solver)))
-        except Exception as exc:  # per-row failures are data, not aborts
+        except CawError as exc:  # per-row failures are data, not aborts
             rows.append(SweepRow(value=value, result=None, error=str(exc)))
     return rows

@@ -235,6 +235,43 @@ def test_exit_three_when_coupled_excess_never_clears(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "curve", ["compute_supply", "compute_demand", "labor_demand_ts", "labor_supply_ts"]
+)
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+def test_extreme_elasticity_exits_cleanly(tmp_path, curve, mode):
+    # Powers like 1e9**40 overflow a float; the contract still holds.
+    doc = json.loads(emit_scenario(make_scenario()))
+    doc[curve]["elasticity"] = 40.0
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (
+        ["solve", "--scenario", str(path), "--mode", mode],
+        ["sweep", "--scenario", str(path), "--mode", mode, "--param", "technology.lambda",
+         "--from", "0.5", "--to", "2", "--steps", "4"],
+    ):
+        code, out, err = run(argv)
+        assert code in (0, 3), err
+        if code == 0:
+            headers, rows = data_rows(out)
+            for row in rows:
+                record = dict(zip(headers, row))
+                assert not record.get("error")
+                assert all(math.isfinite(float(record[h])) for h in ("w_h_star", "r_c_star", "k_c_star"))
+
+
+def test_clearing_price_beyond_float_range_exits_three(tmp_path):
+    s = make_scenario(labor_demand=(10.0, 0.001), labor_supply=(1.0, 0.0))
+    path = write_scenario(tmp_path, s)
+    code, _, err = run(["solve", "--scenario", path])
+    assert code == 3 and "floating-point range" in err
+    code, out, _ = run(["sweep", "--scenario", path, "--param", "technology.k",
+                        "--from", "1", "--to", "2", "--steps", "2"])
+    assert code == 0
+    headers, rows = data_rows(out)
+    assert all("floating-point range" in dict(zip(headers, row))["error"] for row in rows)
+
+
 def test_diagnostics_are_plain_without_tty(tmp_path):
     code, _, err = run(["solve", "--scenario", "/nonexistent/scenario.json"])
     assert err.startswith("error:")

@@ -18,6 +18,7 @@ from caw import (
     solve_scenario,
     supply_curve,
 )
+from caw import markets
 from conftest import make_scenario, rel_err
 
 
@@ -50,6 +51,13 @@ def test_clear_market_both_inelastic_equal_scales():
 def test_clear_market_both_inelastic_unequal_raises():
     with pytest.raises(NoEquilibrium):
         clear_market(supply_curve(2.0, 0.0), demand_curve(3.0, 0.0))
+
+
+@pytest.mark.parametrize("d0", [10.0, 0.1])
+def test_clear_market_price_beyond_float_range_raises(d0):
+    # (D0/S0)**(1/0.001) over- or underflows a float.
+    with pytest.raises(NoEquilibrium):
+        clear_market(supply_curve(1.0, 0.0), demand_curve(d0, 0.001))
 
 
 def test_clear_market_kind_mismatch_rejected():
@@ -293,3 +301,68 @@ def test_solve_scenario_modes(baseline_scenario):
     assert coupled.r_c_star > capped.r_c_star  # agent demand adds to compute demand
     with pytest.raises(InvalidInput):
         solve_scenario(baseline_scenario, "newton")
+
+
+# --- coupled solve work and the hoisted excess --------------------------------------
+
+
+def _capture_find_root(monkeypatch):
+    """Record every (excess, report) pair passed through markets.find_root."""
+    calls = []
+    real = markets.find_root
+
+    def spy(excess, **kwargs):
+        report = real(excess, **kwargs)
+        calls.append((excess, report))
+        return report
+
+    monkeypatch.setattr(markets, "find_root", spy)
+    return calls
+
+
+def test_baseline_coupled_solve_evaluation_budget(monkeypatch, baseline_scenario):
+    calls = _capture_find_root(monkeypatch)
+    res = solve_coupled(baseline_scenario)
+    [(_excess, report)] = calls
+    assert report.evaluations <= 24
+    assert report.root == res.r_c_star
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        make_scenario(),
+        make_scenario(k=0.3, lam=2.5, tau_c=0.2, mu=1.3, compute_demand=None),
+        make_scenario(labor_demand=(7.0, 0.4), labor_supply=(2.0, 1.7)),
+    ],
+)
+def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(monkeypatch, scenario):
+    calls = _capture_find_root(monkeypatch)
+    solve_coupled(scenario)
+    [(excess, _report)] = calls
+    w_clear = clear_market(scenario.labor_supply_ts, scenario.labor_demand_ts).price
+    # Rental rates whose ceiling crosses the clearing wage, including the
+    # floats right next to the crossing.
+    tech, policy = scenario.technology, scenario.policy
+    r_cross = w_clear / (tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu)
+    grid = [r_cross * math.exp(0.01 * i) for i in range(-40, 41)]
+    near = r_cross
+    for _ in range(4):
+        near = math.nextafter(near, 0.0)
+        grid.append(near)
+    near = r_cross
+    for _ in range(4):
+        near = math.nextafter(near, math.inf)
+        grid.append(near)
+    sides = set()
+    for r_c in grid:
+        full = solve_capped_labor_market(scenario, r_c)
+        sides.add(full.l_a_star > 0.0)
+        exogenous = (
+            scenario.compute_demand_exogenous.quantity(r_c)
+            if scenario.compute_demand_exogenous is not None
+            else 0.0
+        )
+        expected = full.k_c_star + exogenous - scenario.compute_supply.quantity(r_c)
+        assert excess(r_c) == expected
+    assert sides == {True, False}

@@ -7,6 +7,7 @@ from caw import (
     CesParams,
     Infeasible,
     InvalidInput,
+    NoEquilibrium,
     Regime,
     StaticsSetup,
     Technology,
@@ -14,12 +15,15 @@ from caw import (
     ces_output,
     demand_curve,
     relative_wage,
+    scenario_with,
     semi_elasticity,
+    solve_coupled,
     solve_statics_point,
     supply_curve,
     sweep,
     wage_bill_response,
 )
+from caw import statics
 from conftest import make_scenario, rel_err
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
@@ -247,6 +251,34 @@ def test_sweep_records_row_errors_and_continues():
     assert rows[0].error is None
     assert rows[1].result is None and rows[1].error
     assert rows[2].error is None
+
+
+def test_sweep_row_error_is_the_solver_message():
+    # Inelastic compute supply below an inelastic exogenous demand has no
+    # coupled equilibrium; above it, it has one.
+    s = make_scenario(compute_supply=(1.0, 0.0), compute_demand=(3.0, 0.0))
+    rows = sweep(s, "compute_supply.scale", [1.0, 5.0], solver="coupled")
+    with pytest.raises(NoEquilibrium) as info:
+        solve_coupled(scenario_with(s, "compute_supply.scale", 1.0))
+    assert rows[0].result is None and rows[0].error == str(info.value)
+    assert rows[1].error is None
+
+
+def test_sweep_over_extreme_compute_elasticity_has_finite_rows():
+    s = make_scenario()
+    rows = sweep(s, "compute_supply.elasticity", [1.0, 40.0, 400.0], solver="coupled")
+    for row in rows:
+        assert row.error is None
+        assert all(math.isfinite(v) for v in (row.result.r_c_star, row.result.k_c_star))
+
+
+def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
+    def broken(scenario, mode):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(statics, "solve_scenario", broken)
+    with pytest.raises(ZeroDivisionError):
+        sweep(baseline_scenario, "technology.k", [1.0])
 
 
 def test_sweep_rejects_unknown_parameter(baseline_scenario):
