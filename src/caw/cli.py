@@ -20,6 +20,7 @@ Diagnostics go to stderr; setting ``CAW_NO_COLOR`` disables styling.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .calibration import factor_shares, table1
 from .ces import conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
-from .model import CesParams, PolicyLevers, Scenario, Technology
+from .model import CesParams, PolicyLevers, Scenario, Technology, validate_policy
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -71,6 +72,14 @@ def _result_row(res) -> tuple:
     )
 
 
+def finite_float(text: str) -> float:
+    """Argparse type for every float flag: a finite number, else exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -90,20 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("bound", help="wage ceiling for one technology/price point")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--rc", type=float, required=True)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=finite_float, required=True)
+    p.add_argument("--k", type=finite_float, required=True)
+    p.add_argument("--rc", type=finite_float, required=True)
+    p.add_argument("--tau", type=finite_float, default=0.0)
+    p.add_argument("--mu", type=finite_float, default=1.0)
     _add_output_flags(p)
 
     p = sub.add_parser("ces", help="unit cost and conditional demands")
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--wh", type=float, required=True)
-    p.add_argument("--wa", type=float, required=True)
+    p.add_argument("--A", type=finite_float, default=1.0)
+    p.add_argument("--alpha", type=finite_float, required=True)
+    p.add_argument("--beta", type=finite_float, required=True)
+    p.add_argument("--sigma", type=finite_float, required=True)
+    p.add_argument("--wh", type=finite_float, required=True)
+    p.add_argument("--wa", type=finite_float, required=True)
     _add_output_flags(p)
 
     p = sub.add_parser("solve", help="solve one scenario file")
@@ -114,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve across a one-parameter grid")
     _add_scenario_flag(p)
     p.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS, metavar="PATH")
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", dest="start", type=finite_float, required=True)
+    p.add_argument("--to", dest="stop", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--log", action="store_true", help="geometric instead of linear grid")
     p.add_argument("--mode", choices=("capped", "coupled"), default="capped")
@@ -123,16 +132,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="ceiling over time at improvement rate g")
     _add_scenario_flag(p)
-    p.add_argument("--t-max", dest="t_max", type=float, required=True)
+    p.add_argument("--t-max", dest="t_max", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--rc", type=float, default=None, help="override the compute-market rental rate")
+    p.add_argument("--rc", type=finite_float, default=None, help="override the compute-market rental rate")
     _add_output_flags(p)
 
     p = sub.add_parser("statics", help="wage pass-through: direct formula vs finite difference")
     _add_scenario_flag(p)
-    p.add_argument("--demand", type=float, default=1.0, help="fixed effective-labor demand level")
-    p.add_argument("--rel-step", dest="rel_step", type=float, default=1e-4)
-    p.add_argument("--rc", type=float, default=None, help="override the compute-market rental rate")
+    p.add_argument("--demand", type=finite_float, default=1.0, help="fixed effective-labor demand level")
+    p.add_argument("--rel-step", dest="rel_step", type=finite_float, default=1e-4)
+    p.add_argument("--rc", type=finite_float, default=None, help="override the compute-market rental rate")
     _add_output_flags(p)
 
     p = sub.add_parser("shares", help="factor shares at the solved equilibrium")
@@ -171,10 +180,9 @@ def _cmd_table1(args) -> OutputTable:
 def _cmd_bound(args) -> OutputTable:
     tech = Technology(lam=args.lam, k=args.k)
     policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    if args.tau < 0.0:
-        raise InvalidInput("tau_c must be >= 0")
-    if args.mu < 1.0:
-        raise InvalidInput("mu must be >= 1")
+    violations = validate_policy(policy)
+    if violations:
+        raise ValidationError(violations)
     ceiling = caw_ceiling(tech, args.rc, policy)
     meta = standard_metadata(
         inputs_sha256(

@@ -50,11 +50,7 @@ def _check_kinds(supply: IsoElasticCurve, demand: IsoElasticCurve) -> None:
 
 
 def clear_market(
-    supply: IsoElasticCurve,
-    demand: IsoElasticCurve,
-    tol: float = constants.PRICE_REL_TOL,
-    *,
-    method: str = "closed_form",
+    supply: IsoElasticCurve, demand: IsoElasticCurve, *, method: str = "closed_form"
 ) -> ClearingPoint:
     """Unique price with supply(p) == demand(p).
 
@@ -86,12 +82,10 @@ def clear_market(
         residual = abs(demand.quantity(price) - supply.quantity(price))
         return ClearingPoint(price=price, quantity=quantity, iterations=0, residual=residual)
     if method == "root_search":
-        abs_tol = constants.EXCESS_ABS_TOL_SCALE * supply.scale
-
         def excess(p: float) -> float:
             return demand.quantity(p) - supply.quantity(p)
 
-        report = find_root(excess, abs_tol=abs_tol, rel_tol=tol)
+        report = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * supply.scale)
         return ClearingPoint(
             price=report.root,
             quantity=supply.quantity(report.root),
@@ -101,7 +95,7 @@ def clear_market(
     raise InvalidInput(f"unknown clearing method {method!r}")
 
 
-def solve_compute_market(s: Scenario, tol: float = constants.PRICE_REL_TOL) -> ClearingPoint:
+def solve_compute_market(s: Scenario) -> ClearingPoint:
     """Clear compute supply against exogenous compute demand.
 
     Returns the raw rental rate; policy levers apply at the wage ceiling,
@@ -109,7 +103,7 @@ def solve_compute_market(s: Scenario, tol: float = constants.PRICE_REL_TOL) -> C
     """
     if s.compute_demand_exogenous is None:
         raise InvalidInput("scenario has no exogenous compute demand to clear against")
-    return clear_market(s.compute_supply, s.compute_demand_exogenous, tol)
+    return clear_market(s.compute_supply, s.compute_demand_exogenous)
 
 
 def _capped_at_zero_ceiling(s: Scenario) -> EquilibriumResult:
@@ -135,12 +129,7 @@ def _capped_at_zero_ceiling(s: Scenario) -> EquilibriumResult:
     )
 
 
-def solve_capped_labor_market(
-    s: Scenario,
-    r_c_star: float,
-    tol: float = constants.PRICE_REL_TOL,
-    band: float = constants.REGIME_BAND_ABS,
-) -> EquilibriumResult:
+def solve_capped_labor_market(s: Scenario, r_c_star: float) -> EquilibriumResult:
     """Clear the substitutable-task labor market under the wage ceiling.
 
     Below the ceiling the market clears as usual. At a binding ceiling the
@@ -155,11 +144,11 @@ def solve_capped_labor_market(
     if ceiling == 0.0:
         return _capped_at_zero_ceiling(s)
 
-    clearing = clear_market(s.labor_supply_ts, s.labor_demand_ts, tol)
+    clearing = clear_market(s.labor_supply_ts, s.labor_demand_ts)
     w_clear = clearing.price
 
     if w_clear <= ceiling:
-        regime = classify_regime(w_clear, ceiling, band)
+        regime = classify_regime(w_clear, ceiling, constants.REGIME_BAND_ABS)
         return EquilibriumResult(
             regime=regime,
             w_h_star=w_clear,
@@ -178,7 +167,7 @@ def solve_capped_labor_market(
     l_h = min(supply_at_ceiling, demand_at_ceiling)
     l_a = s.technology.lam * max(0.0, demand_at_ceiling - supply_at_ceiling)
     return EquilibriumResult(
-        regime=classify_regime(ceiling, ceiling, band),
+        regime=classify_regime(ceiling, ceiling, constants.REGIME_BAND_ABS),
         w_h_star=ceiling,
         r_c_star=r_c_star,
         ceiling=ceiling,
@@ -191,11 +180,7 @@ def solve_capped_labor_market(
     )
 
 
-def solve_coupled(
-    s: Scenario,
-    tol: float | None = None,
-    max_iter: int = constants.MAX_ITER,
-) -> EquilibriumResult:
+def solve_coupled(s: Scenario) -> EquilibriumResult:
     """Fixed point where compute supplied equals agent use plus exogenous demand.
 
     At each candidate rental rate the capped labor market determines agent
@@ -208,7 +193,6 @@ def solve_coupled(
     the ceiling against it, with the arithmetic of
     :func:`solve_capped_labor_market`.
     """
-    abs_tol = tol if tol is not None else constants.EXCESS_ABS_TOL_SCALE * s.compute_supply.scale
     tech, policy = s.technology, s.policy
     labor_demand, labor_supply = s.labor_demand_ts, s.labor_supply_ts
     w_clear = clear_market(labor_supply, labor_demand).price
@@ -229,7 +213,7 @@ def solve_coupled(
         )
         return derived + exogenous - s.compute_supply.quantity(r_c)
 
-    report = find_root(excess, abs_tol=abs_tol, rel_tol=constants.PRICE_REL_TOL, max_iter=max_iter)
+    report = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * s.compute_supply.scale)
     return solve_capped_labor_market(s, report.root)
 
 

@@ -252,6 +252,20 @@ def _check_curve(curve, name: str, expected: CurveKind, out: list[Violation]) ->
         out.append(Violation(f"{name}.elasticity.negative", f"{name}.elasticity must be >= 0"))
 
 
+def validate_policy(pol: PolicyLevers) -> list[Violation]:
+    """The policy-lever rules of :func:`validate_scenario`, on their own."""
+    out: list[Violation] = []
+    if not _finite(pol.tau_c):
+        out.append(Violation("policy.tau_c.nonfinite", "tau_c must be finite"))
+    elif pol.tau_c < 0.0:
+        out.append(Violation("policy.tau_c.negative", "tau_c must be >= 0"))
+    if not _finite(pol.mu):
+        out.append(Violation("policy.mu.nonfinite", "mu must be finite"))
+    elif pol.mu < 1.0:
+        out.append(Violation("policy.mu.below_one", "mu must be >= 1"))
+    return out
+
+
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Collect every invariant violation in ``s``; empty list means valid.
 
@@ -282,16 +296,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check_curve(s.compute_demand_exogenous, "compute_demand", CurveKind.DEMAND, out)
     _check_curve(s.labor_demand_ts, "labor_demand_ts", CurveKind.DEMAND, out)
     _check_curve(s.labor_supply_ts, "labor_supply_ts", CurveKind.SUPPLY, out)
-
-    pol = s.policy
-    if not _finite(pol.tau_c):
-        out.append(Violation("policy.tau_c.nonfinite", "tau_c must be finite"))
-    elif pol.tau_c < 0.0:
-        out.append(Violation("policy.tau_c.negative", "tau_c must be >= 0"))
-    if not _finite(pol.mu):
-        out.append(Violation("policy.mu.nonfinite", "mu must be finite"))
-    elif pol.mu < 1.0:
-        out.append(Violation("policy.mu.below_one", "mu must be >= 1"))
+    out.extend(validate_policy(s.policy))
 
     if not _finite(s.output_price):
         out.append(Violation("output_price.nonfinite", "output_price must be finite"))

@@ -1,4 +1,5 @@
-"""The bracketed root finder on log price shared by the market solvers.
+"""The bracketed root finder on log price shared by every solver: market
+clearing, the coupled fixed point and the comparative statics wage search.
 
 Every search starts from the log-price bracket [log BRACKET_LO,
 log BRACKET_HI] and widens it geometrically, by its own initial width on
@@ -22,8 +23,9 @@ from typing import Callable, NamedTuple
 from . import constants
 from .errors import NoConvergence, NoEquilibrium
 
-# Below this log width the bracket has collapsed to float resolution and the
-# excess tolerance is no longer required for convergence.
+# Below this log width, or one float spacing at either end of the bracket
+# (wider than this once |log price| > 2), the bracket has collapsed to float
+# resolution and the excess tolerance is no longer required for convergence.
 _COLLAPSED_WIDTH = 4e-16
 _EPS = sys.float_info.epsilon
 
@@ -42,7 +44,7 @@ class RootReport(NamedTuple):
     residual: float
 
 
-def expand_bracket(
+def _expand_bracket(
     f: Callable[[float], float],
 ) -> tuple[float, float, float, float, int]:
     """Widen the initial log-price bracket until ``f`` changes sign at its ends.
@@ -91,7 +93,7 @@ def find_root(
             )
         return value
 
-    lo, hi, f_lo, f_hi, expansions = expand_bracket(f)
+    lo, hi, f_lo, f_hi, expansions = _expand_bracket(f)
     if f_lo == 0.0:
         return RootReport(math.exp(lo), 0, evaluations, expansions, 0.0)
     if f_hi == 0.0:
@@ -116,9 +118,9 @@ def find_root(
             blk, f_blk = pre, f_pre
 
         width = abs(blk - cur)
-        if f_cur == 0.0 or (
-            width <= rel_tol and (abs(f_cur) <= abs_tol or width <= _COLLAPSED_WIDTH)
-        ):
+        if f_cur == 0.0 or (width <= rel_tol and (
+            abs(f_cur) <= abs_tol or width <= max(_COLLAPSED_WIDTH, math.ulp(cur), math.ulp(blk))
+        )):
             return RootReport(math.exp(cur), iterations, evaluations, expansions, abs(f_cur))
         if iterations >= max_iter:
             raise NoConvergence("price search hit the iteration cap", abs(f_cur), iterations)

@@ -32,11 +32,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import constants
-from .ces import relative_wage
-from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoConvergence
+from .ces import _branch, _cd_exponents, relative_wage
+from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput
 from .markets import clear_market, solve_scenario
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, Scenario, Technology
-from .roots import expand_bracket
+from .roots import find_root
 
 
 @dataclass(frozen=True)
@@ -93,51 +93,59 @@ class SweepRow:
     error: str | None = None
 
 
-def _agent_labor_for_target(ces: CesParams, l_h: float, target: float) -> float | None:
-    """l_a solving ces_output(l_h, l_a) == target for fixed l_h > 0.
+def _log_agent_labor(ces: CesParams, l_h: float, target: float) -> float | None:
+    """log l_a solving ces_output(l_h, l_a) == target for fixed l_h > 0.
 
     Returns None when humans alone already meet or exceed the target (no
     positive l_a solves the equality); raises Infeasible when no finite l_a
-    can reach it (complements with too little human labor).
+    can reach it (complements with too little human labor). Not defined on
+    the fixed-proportions branch, which callers reject first.
     """
-    sigma = ces.sigma
-    if abs(sigma - 1.0) < constants.SIGMA_ONE_BAND:
-        total = ces.alpha + ces.beta
-        a, b = ces.alpha / total, ces.beta / total
-        log_la = (math.log(target / ces.A) - a * math.log(l_h)) / b
-        return math.exp(log_la)
-    if sigma >= constants.SIGMA_LINEAR_THRESHOLD:
+    branch = _branch(ces.sigma)
+    if branch == "cobb_douglas":
+        a, b = _cd_exponents(ces)
+        return (math.log(target / ces.A) - a * math.log(l_h)) / b
+    if branch == "linear":
         l_a = (target / ces.A - ces.alpha * l_h) / ces.beta
-        return l_a if l_a > 0.0 else None
-    if sigma <= constants.SIGMA_LEONTIEF_THRESHOLD:
-        required = target / ces.A
-        if l_h < required:
-            raise Infeasible("human labor below the fixed-proportions requirement")
-        return required
+        return math.log(l_a) if l_a > 0.0 else None
 
     rho = ces.rho
     x_target = rho * math.log(target / ces.A)
     x_human = math.log(ces.alpha) + rho * math.log(l_h)
-    gap_positive = x_target > x_human
-    if not gap_positive:
+    if not x_target > x_human:
         if rho < 0.0:
             raise Infeasible("output target unreachable even as agent labor grows without bound")
         return None
-    log_gap = x_target + math.log1p(-math.exp(x_human - x_target))
-    return math.exp((log_gap - math.log(ces.beta)) / rho)
+    # log(exp(x_target) - exp(x_human)); unlike 1 - exp(d), -expm1(d) stays
+    # positive for every d < 0, however close humans alone come to the target.
+    log_gap = x_target + math.log(-math.expm1(x_human - x_target))
+    return (log_gap - math.log(ces.beta)) / rho
 
 
-def solve_statics_point(
-    su: StaticsSetup, tol: float = constants.STATICS_WAGE_REL_TOL
-) -> StaticsPoint:
+def _agent_labor(log_la: float) -> float:
+    """l_a from its log; Infeasible where no positive float holds it."""
+    try:
+        l_a = math.exp(log_la)
+    except OverflowError:
+        l_a = math.inf
+    if not 0.0 < l_a < math.inf:
+        raise Infeasible(f"agent labor exp({log_la:.6g}) lies outside the floating-point range")
+    return l_a
+
+
+def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     """Wage and quantities satisfying supply, output, and relative-wage conditions.
 
     The three conditions are l_h = supply(w_h), ces_output(l_h, l_a) =
     l_eff_demand, and w_h/w_a_eff = relative_wage(l_h, l_a). The inner solve
-    for l_a given l_h is closed form; the outer search on w_h is a bisection
-    on the (monotone) gap between the candidate and implied wage. The
-    fixed-quantity supply case is solved in closed form so the polar
-    pass-through result is exact.
+    for l_a given l_h is closed form; the outer search on w_h is the shared
+    root finder on the (monotone) gap between the candidate and implied
+    wage. The fixed-quantity supply case is solved in closed form so
+    the polar pass-through result is exact.
+
+    Raises InvalidInput at fixed proportions, where the relative-wage
+    condition does not pin w_h, and Infeasible when the wage root sits where
+    humans alone meet the target, so agents are not employed.
     """
     if not (su.l_eff_demand > 0.0):
         raise InvalidInput(f"l_eff_demand must be > 0, got {su.l_eff_demand!r}")
@@ -147,49 +155,49 @@ def solve_statics_point(
         raise InvalidInput("labor_supply must be a supply curve")
     if not (su.labor_supply.scale > 0.0):
         raise InvalidInput(f"labor supply scale must be > 0, got {su.labor_supply.scale!r}")
+    ces = su.ces
+    if _branch(ces.sigma) == "leontief":
+        raise InvalidInput(
+            f"sigma {ces.sigma!r} is at or below the fixed-proportions threshold "
+            f"{constants.SIGMA_LEONTIEF_THRESHOLD!r}, where the relative wage does not pin w_h"
+        )
 
     if su.labor_supply.elasticity == 0.0:
         l_h = su.labor_supply.scale
-        l_a = _agent_labor_for_target(su.ces, l_h, su.l_eff_demand)
-        if l_a is None:
+        log_la = _log_agent_labor(ces, l_h, su.l_eff_demand)
+        if log_la is None:
             raise Infeasible("fixed human supply exceeds the effective-labor demand target")
-        w_h = su.w_a_eff * relative_wage(su.ces, l_h, l_a)
-        return StaticsPoint(w_h=w_h, l_h=l_h, l_a=l_a)
+        l_a = _agent_labor(log_la)
+        return StaticsPoint(w_h=su.w_a_eff * relative_wage(ces, l_h, l_a), l_h=l_h, l_a=l_a)
 
-    def gap(log_w: float) -> float:
-        # Positive when the candidate wage exceeds the implied one; strictly
-        # increasing in log_w, so bisection applies.
-        w = math.exp(log_w)
+    log_implied_base = math.log(su.w_a_eff * ces.alpha / ces.beta)
+
+    def gap(w: float) -> float:
+        # log(w / (w_a_eff * relative_wage)) kept in logs so nothing overflows.
         l_h = su.labor_supply.quantity(w)
-        try:
-            l_a = _agent_labor_for_target(su.ces, l_h, su.l_eff_demand)
-        except Infeasible:
+        if l_h == 0.0:
             return -1.0  # too few humans: implied wage unbounded above
-        if l_a is None:
+        try:
+            log_la = _log_agent_labor(ces, l_h, su.l_eff_demand)
+        except Infeasible:
+            return -1.0
+        if log_la is None:
             return 1.0  # humans oversupplied: implied wage collapses to zero
-        return log_w - math.log(su.w_a_eff * relative_wage(su.ces, l_h, l_a))
+        return math.log(w) - log_implied_base + (math.log(l_h) - log_la) / ces.sigma
 
-    lo, hi, g_lo, g_hi, _expansions = expand_bracket(gap)
-    if g_lo * g_hi > 0.0:
-        raise NoConvergence("wage gap has no sign change on the bracket", min(abs(g_lo), abs(g_hi)), 0)
-
-    iterations = 0
-    while hi - lo > tol and iterations < constants.MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    if hi - lo > tol:
-        raise NoConvergence("wage search hit the iteration cap", hi - lo, iterations)
-
-    w_h = math.exp(0.5 * (lo + hi))
+    tol = constants.STATICS_WAGE_REL_TOL
+    report = find_root(gap, abs_tol=tol, rel_tol=tol)
+    w_h = report.root
+    if report.residual > tol and any(
+        abs(gap(w_h * math.exp(step))) == 1.0 for step in (-2.0 * tol, 2.0 * tol)
+    ):
+        # The search closed on the jump to a +-1 sentinel, not on a zero crossing.
+        raise Infeasible(
+            "human labor alone meets the effective-labor demand target at the wage root, "
+            "so agents are not employed and the pass-through is undefined"
+        )
     l_h = su.labor_supply.quantity(w_h)
-    l_a = _agent_labor_for_target(su.ces, l_h, su.l_eff_demand)
-    if l_a is None:
-        raise NoConvergence("wage search landed outside the feasible region", hi - lo, iterations)
-    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=l_a)
+    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_agent_labor(_log_agent_labor(ces, l_h, su.l_eff_demand)))
 
 
 def semi_elasticity(
@@ -285,17 +293,12 @@ def wage_bill_response(
     return WageBillResponse(before=state(ceiling_before), after=state(ceiling_after))
 
 
-# Scenario fields addressable by sweep(), as dotted public names. The mapping
-# below translates public names to attribute paths (the technology ratio is
-# stored as ``lam`` because of the Python keyword).
+# The scenario fields the capped and coupled solvers read, as dotted public
+# names for sweep(). The mapping below translates them to attribute paths (the
+# technology ratio is stored as ``lam`` because of the Python keyword).
 SWEEPABLE_PARAMS: tuple[str, ...] = (
     "technology.lambda",
     "technology.k",
-    "technology.g",
-    "ces.A",
-    "ces.alpha",
-    "ces.beta",
-    "ces.sigma",
     "compute_supply.scale",
     "compute_supply.elasticity",
     "compute_demand.scale",
@@ -306,7 +309,6 @@ SWEEPABLE_PARAMS: tuple[str, ...] = (
     "labor_supply_ts.elasticity",
     "policy.tau_c",
     "policy.mu",
-    "output_price",
 )
 
 _FIELD_ALIASES = {"lambda": "lam", "compute_demand": "compute_demand_exogenous"}
@@ -318,10 +320,7 @@ def scenario_with(s: Scenario, param_path: str, value: float) -> Scenario:
         raise InvalidInput(
             f"unknown sweep parameter {param_path!r}; valid: {', '.join(SWEEPABLE_PARAMS)}"
         )
-    parts = [_FIELD_ALIASES.get(p, p) for p in param_path.split(".")]
-    if len(parts) == 1:
-        return replace(s, **{parts[0]: value})
-    holder_name, field_name = parts
+    holder_name, field_name = (_FIELD_ALIASES.get(p, p) for p in param_path.split("."))
     holder = getattr(s, holder_name)
     if holder is None:
         raise InvalidInput(f"scenario has no {param_path.split('.')[0]} to sweep")

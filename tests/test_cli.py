@@ -1,12 +1,16 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from caw.cli import run_command
 from conftest import make_scenario
-from caw import emit_scenario
+from caw import SWEEPABLE_PARAMS, CesParams, emit_scenario
+
+
+BASELINE = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
 
 
 def run(argv):
@@ -140,6 +144,34 @@ def test_statics_command(tmp_path):
     assert abs(float(row["direct"]) - float(row["fd"])) < 1e-4
 
 
+def test_statics_fixed_proportions_exits_two(tmp_path):
+    s = make_scenario(ces=CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=1e-5))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "fixed-proportions threshold" in err
+
+
+def test_statics_linear_corner_exits_three(tmp_path):
+    # Perfect substitutes with the agent wage (3) above the wage at which
+    # humans alone meet the target (2): agents are not employed.
+    s = make_scenario(ces=CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=1e7))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s), "--rc", "3"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "not employed" in err
+
+
+@pytest.mark.parametrize("elasticity", [40.0, 400.0])
+def test_statics_steep_labor_supply_exits_cleanly(tmp_path, elasticity):
+    # Human supply underflows to zero at the bottom of the wage bracket and
+    # overflows at the top; the wage gap keeps its sign at both ends.
+    s = make_scenario(labor_supply=(1.0, elasticity))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    assert all(math.isfinite(float(v)) for v in rows[0])
+
+
 def test_shares_command(tmp_path):
     code, out, _ = run(["shares", "--scenario", write_scenario(tmp_path)])
     assert code == 0
@@ -217,6 +249,54 @@ def test_exit_two_on_missing_file():
 def test_exit_two_on_bad_flags():
     code, _, _ = run(["bound", "--lambda", "2"])  # missing --k/--rc
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--lambda", "1", "--k", "1", "--rc", "{}"],
+        ["bound", "--lambda", "1", "--k", "1", "--rc", "1", "--tau", "{}"],
+        ["bound", "--lambda", "1", "--k", "1", "--rc", "1", "--mu", "{}"],
+        ["ces", "--alpha", "0.5", "--beta", "0.5", "--sigma", "{}", "--wh", "1", "--wa", "1"],
+        ["trajectory", "--scenario", "SCENARIO", "--t-max", "{}", "--steps", "3"],
+        ["statics", "--scenario", "SCENARIO", "--rc", "{}"],
+        ["sweep", "--scenario", "SCENARIO", "--param", "technology.k", "--from", "1", "--to", "{}",
+         "--steps", "2"],
+    ],
+    ids=["bound-rc", "bound-tau", "bound-mu", "ces-sigma", "trajectory-t-max", "statics-rc", "sweep-to"],
+)
+def test_nonfinite_flags_exit_two(tmp_path, argv, value):
+    scenario = write_scenario(tmp_path)
+    argv = [scenario if a == "SCENARIO" else a.format(value) for a in argv]
+    code, out, _ = run(argv)
+    assert code == 2 and out == ""
+
+
+def test_bound_policy_flags_follow_scenario_rules():
+    code, out, err = run(["bound", "--lambda", "1", "--k", "1", "--rc", "1", "--tau", "-1", "--mu", "0.5"])
+    assert code == 2 and out == ""
+    assert err == "error: tau_c must be >= 0; mu must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "param", ["technology.g", "ces.A", "ces.alpha", "ces.beta", "ces.sigma", "output_price"]
+)
+def test_sweep_rejects_parameters_no_solver_reads(param):
+    code, out, _ = run(["sweep", "--scenario", BASELINE, "--param", param,
+                        "--from", "1.5", "--to", "3", "--steps", "2"])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+@pytest.mark.parametrize("param", SWEEPABLE_PARAMS)
+def test_every_sweep_parameter_moves_the_solution(param, mode):
+    code, out, err = run(["sweep", "--scenario", BASELINE, "--param", param,
+                          "--from", "1.5", "--to", "3", "--steps", "2", "--mode", mode])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    first, second = (row[1:] for row in rows)
+    assert first != second
 
 
 def test_exit_three_on_no_equilibrium(tmp_path):

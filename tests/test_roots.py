@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from caw import NoConvergence, NoEquilibrium, constants, demand_curve, supply_curve
-from caw.roots import expand_bracket, find_root
+from caw.roots import find_root
 from conftest import rel_err
 
 
@@ -56,10 +56,12 @@ def test_increasing_and_decreasing_functions(sign):
 
 def test_step_discontinuity_collapses_the_bracket():
     # |f| never drops below abs_tol, so the search must narrow the bracket
-    # to float resolution around the jump.
-    report = find_root(lambda p: 1.0 if p < 2.0 else -1.0, abs_tol=1e-12)
-    assert rel_err(report.root, 2.0) <= 1e-15
-    assert report.residual == 1.0
+    # to float resolution around the jump. Away from p = 1 the log-price
+    # spacing exceeds 4e-16, so collapse is one float spacing there.
+    for jump in (2.0, 8.0, 100.0, 1e-3, 1e8):
+        report = find_root(lambda p: 1.0 if p < jump else -1.0, abs_tol=1e-12)
+        assert rel_err(report.root, jump) <= max(1e-15, 2.0 * math.ulp(math.log(jump)))
+        assert report.residual == 1.0
 
 
 def test_root_exactly_at_bracket_end():
@@ -89,12 +91,17 @@ def test_iteration_cap_raises_no_convergence():
 def test_bracket_expands_geometrically():
     # Root far above the initial bracket: one widening by the bracket's
     # own width on each side reaches it.
-    lo, hi, f_lo, f_hi, expansions = expand_bracket(lambda x: 30.0 - x)
+    prices = []
+
+    def excess(p):
+        prices.append(p)
+        return 1e13 - p
+
+    report = find_root(excess, abs_tol=1e4)
+    lo, hi = math.log(prices[2]), math.log(prices[3])
     initial = math.log(constants.BRACKET_HI) - math.log(constants.BRACKET_LO)
-    assert expansions == 1
     assert hi - lo == pytest.approx(3.0 * initial)
-    assert f_lo > 0.0 > f_hi
-    report = find_root(lambda p: 1e13 - p, abs_tol=1e4)
+    assert excess(prices[2]) > 0.0 > excess(prices[3])
     assert report.expansions == 1
     assert rel_err(report.root, 1e13) <= constants.PRICE_REL_TOL
 

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caw import (
+    CawError,
     CeilingNotBinding,
     CesParams,
     Infeasible,
@@ -23,7 +27,8 @@ from caw import (
     sweep,
     wage_bill_response,
 )
-from caw import statics
+from caw import constants, statics
+from caw.model import IsoElasticCurve
 from conftest import make_scenario, rel_err
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
@@ -72,7 +77,93 @@ def test_statics_point_rejects_bad_setup():
         )
 
 
+def test_statics_point_rejects_fixed_proportions():
+    # At fixed proportions the relative-wage condition does not pin w_h.
+    for elasticity in (0.0, 1.0):
+        ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=1e-5)
+        su = StaticsSetup(
+            ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(1.0, elasticity), w_a_eff=1.0
+        )
+        with pytest.raises(InvalidInput, match=repr(constants.SIGMA_LEONTIEF_THRESHOLD)):
+            solve_statics_point(su)
+
+
+def test_statics_point_linear_corner_is_infeasible():
+    # Perfect substitutes: humans alone meet the target at w_h = 2, below the
+    # agent wage 3, so the wage gap only changes sign where agents leave.
+    ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=1e7)
+    su = StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(1.0, 1.0), w_a_eff=3.0)
+    with pytest.raises(Infeasible, match="agents are not employed"):
+        solve_statics_point(su)
+    point = solve_statics_point(replace(su, w_a_eff=1.0))
+    assert rel_err(point.w_h, 1.0) < 1e-6 and point.l_a > 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_statics_point_agent_labor_beyond_float_range_is_infeasible(scale):
+    # Cobb-Douglas with exponents 0.95/0.05: l_a = l_h**-19, beyond any float.
+    ces = CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0)
+    su = StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(scale, 0.0), w_a_eff=1.0)
+    with pytest.raises(Infeasible, match="floating-point range"):
+        solve_statics_point(su)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("supply_elasticity", [0.25, 0.5, 1.0, 2.0])
+def test_statics_point_supply_evaluation_budget(monkeypatch, sigma, supply_elasticity):
+    calls = 0
+    quantity = IsoElasticCurve.quantity
+
+    def counted(curve, price):
+        nonlocal calls
+        calls += 1
+        return quantity(curve, price)
+
+    monkeypatch.setattr(IsoElasticCurve, "quantity", counted)
+    ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=sigma)
+    su = StaticsSetup(
+        ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(0.8, supply_elasticity), w_a_eff=1.0
+    )
+    solve_statics_point(su)
+    assert calls <= 20
+
+
 # --- semi_elasticity -----------------------------------------------------------
+
+_BRANCH_SIGMA = {
+    "general": st.floats(min_value=0.2, max_value=20.0),
+    "cobb_douglas": st.just(1.0),
+    "linear": st.floats(min_value=1e6, max_value=1e8),
+    "leontief": st.floats(min_value=1e-6, max_value=1e-4),
+}
+_positive = st.floats(min_value=0.1, max_value=10.0)
+
+
+@given(
+    sigma=st.sampled_from(sorted(_BRANCH_SIGMA)).flatmap(_BRANCH_SIGMA.get),
+    A=_positive,
+    alpha=st.floats(min_value=0.05, max_value=0.95),
+    beta=st.floats(min_value=0.05, max_value=0.95),
+    demand=_positive,
+    scale=_positive,
+    elasticity=st.floats(min_value=0.0, max_value=3.0),
+    w_a_eff=_positive,
+)
+def test_semi_elasticity_fails_only_with_caw_errors(
+    sigma, A, alpha, beta, demand, scale, elasticity, w_a_eff
+):
+    su = StaticsSetup(
+        ces=CesParams(A=A, alpha=alpha, beta=beta, sigma=sigma),
+        l_eff_demand=demand,
+        labor_supply=supply_curve(scale, elasticity),
+        w_a_eff=w_a_eff,
+    )
+    try:
+        se = semi_elasticity(su)
+    except CawError:
+        return
+    fields = (se.direct, se.fd, se.fd_forward, se.fd_backward, se.base.w_h, se.base.l_h, se.base.l_a)
+    assert all(math.isfinite(v) for v in fields)
 
 
 def test_inelastic_supply_gives_unit_passthrough_exactly():
