@@ -12,14 +12,13 @@ Usage: python3 scripts/ceiling_sensitivity.py [--points N]
 
 import argparse
 
-import numpy as np
-
 from caw import (
     CesParams,
     PolicyLevers,
     Scenario,
     Technology,
     demand_curve,
+    grid,
     supply_curve,
     sweep,
     table1,
@@ -57,10 +56,10 @@ def main() -> None:
     )
 
     s = binding_scenario()
-    grid = [float(v) for v in np.geomspace(0.25, 4.0, args.points)]
+    values = grid(0.25, 4.0, args.points, log=True)
 
     rows = []
-    for row in sweep(s, "compute_supply.scale", grid):
+    for row in sweep(s, "compute_supply.scale", values):
         r = row.result
         rows.append((row.value, r.r_c_star, r.ceiling, r.w_h_star, r.l_h_star, r.l_a_star))
     print_rows(
@@ -70,7 +69,7 @@ def main() -> None:
     )
 
     rows = []
-    for row in sweep(s, "labor_supply_ts.scale", grid):
+    for row in sweep(s, "labor_supply_ts.scale", values):
         r = row.result
         rows.append((row.value, r.w_h_star, r.l_h_star, r.l_a_star))
     print_rows(

@@ -63,6 +63,7 @@ from .statics import (
     WageBillResponse,
     WageBillState,
     caw_trajectory,
+    grid,
     scenario_with,
     semi_elasticity,
     solve_statics_point,
@@ -123,6 +124,7 @@ __all__ = [
     "caw_trajectory",
     "wage_bill_response",
     "sweep",
+    "grid",
     "scenario_with",
     # calibration
     "CalibrationCell",

@@ -25,8 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bound import caw_ceiling
 from .calibration import factor_shares, table1
 from .ces import conditional_demands, unit_cost
@@ -41,7 +39,7 @@ from .scenario_io import (
     scenario_sha256,
     standard_metadata,
 )
-from .statics import SWEEPABLE_PARAMS, StaticsSetup, caw_trajectory, semi_elasticity, sweep
+from .statics import SWEEPABLE_PARAMS, StaticsSetup, caw_trajectory, grid, semi_elasticity, sweep
 
 _RESULT_HEADERS = (
     "regime",
@@ -80,6 +78,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises InvalidInput on a rejected command line,
+    so run_command reports it on the caller's stderr like any input error
+    (argparse itself prints usage to sys.stderr and exits). Subcommand
+    parsers inherit the class."""
+
+    def error(self, message: str):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -90,7 +98,7 @@ def _add_scenario_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="caw", description="Compute-anchored wage model: ceilings, markets, statics."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,16 +241,9 @@ def _cmd_solve(args) -> OutputTable:
 
 def _cmd_sweep(args) -> OutputTable:
     s = _load_scenario(args.scenario)
-    if args.steps < 1:
-        raise InvalidInput("--steps must be >= 1")
-    if args.log:
-        if args.start <= 0.0 or args.stop <= 0.0:
-            raise InvalidInput("--log grids need positive endpoints")
-        grid = np.geomspace(args.start, args.stop, args.steps)
-    else:
-        grid = np.linspace(args.start, args.stop, args.steps)
+    values = grid(args.start, args.stop, args.steps, log=args.log)
     rows = []
-    for row in sweep(s, args.param, [float(v) for v in grid], solver=args.mode):
+    for row in sweep(s, args.param, values, solver=args.mode):
         if row.result is not None:
             rows.append((row.value, *_result_row(row.result), None))
         else:
@@ -258,13 +259,11 @@ def _cmd_sweep(args) -> OutputTable:
 
 def _cmd_trajectory(args) -> OutputTable:
     s = _load_scenario(args.scenario)
-    if args.steps < 1:
-        raise InvalidInput("--steps must be >= 1")
+    times = grid(0.0, args.t_max, args.steps)
     if args.t_max < 0.0:
         raise InvalidInput("--t-max must be >= 0")
     r_c = _rental_rate(s, args.rc)
-    grid = [float(t) for t in np.linspace(0.0, args.t_max, args.steps)]
-    points = caw_trajectory(s.technology, r_c, grid)
+    points = caw_trajectory(s.technology, r_c, times)
     meta = standard_metadata(scenario_sha256(s))
     meta["command"] = "trajectory"
     meta["r_c"] = r_c
@@ -334,13 +333,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return int(code) if not isinstance(code, str) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         table = _HANDLERS[args.command](args)
         text = emit_table(table, "json" if args.format == "json" else "csv")
     except (ParseError, ValidationError, InvalidInput) as exc:
@@ -349,6 +343,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except SolverError as exc:
         _diagnostic(stderr, str(exc))
         return 3
+    except SystemExit as exc:  # --help printed its text
+        return exc.code or 0
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -28,12 +28,13 @@ the outer check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import constants
 from .ces import _branch, _cd_exponents, relative_wage
-from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput
+from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import clear_market, solve_scenario
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, Scenario, Technology
 from .roots import find_root
@@ -144,8 +145,9 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     the polar pass-through result is exact.
 
     Raises InvalidInput at fixed proportions, where the relative-wage
-    condition does not pin w_h, and Infeasible when the wage root sits where
-    humans alone meet the target, so agents are not employed.
+    condition does not pin w_h, Infeasible when the wage root sits where
+    humans alone meet the target, so agents are not employed, and
+    NoEquilibrium when the wage gap keeps one sign across the wage bracket.
     """
     if not (su.l_eff_demand > 0.0):
         raise InvalidInput(f"l_eff_demand must be > 0, got {su.l_eff_demand!r}")
@@ -186,7 +188,13 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
         return math.log(w) - log_implied_base + (math.log(l_h) - log_la) / ces.sigma
 
     tol = constants.STATICS_WAGE_REL_TOL
-    report = find_root(gap, abs_tol=tol, rel_tol=tol)
+    try:
+        report = find_root(gap, abs_tol=tol, rel_tol=tol)
+    except NoEquilibrium as exc:
+        raise NoEquilibrium(
+            "the human wage gap has no sign change on the wage bracket: no wage in range "
+            "matches labor supply to the effective-labor demand target"
+        ) from exc
     w_h = report.root
     if report.residual > tol and any(
         abs(gap(w_h * math.exp(step))) == 1.0 for step in (-2.0 * tol, 2.0 * tol)
@@ -325,6 +333,49 @@ def scenario_with(s: Scenario, param_path: str, value: float) -> Scenario:
     if holder is None:
         raise InvalidInput(f"scenario has no {param_path.split('.')[0]} to sweep")
     return replace(s, **{holder_name: replace(holder, **{field_name: value})})
+
+
+# The largest float exponent whose power of ten is finite: log10 of an endpoint
+# near the float maximum may round past it.
+_LOG10_MAX = math.nextafter(math.log10(sys.float_info.max), 0.0)
+
+
+def grid(start: float, stop: float, steps: int, log: bool = False) -> list[float]:
+    """``steps`` values from ``start`` to ``stop``, both included, evenly spaced
+    or, with ``log``, evenly spaced in log10 (then both endpoints must be > 0).
+
+    Linear grids use numpy's ``linspace`` arithmetic, ``i * step + start`` with
+    ``step = (stop - start) / (steps - 1)`` (``i / (steps - 1) * delta`` when that
+    step underflows to zero) and the last value pinned to ``stop``, so they equal
+    ``np.linspace`` bit for bit. Geometric grids are ``10.0 ** v`` (libm ``pow``)
+    over the linear grid of log10 endpoints, both endpoints pinned and every
+    value kept between them, so the grid is monotone and finite.
+
+    Raises InvalidInput for ``steps < 1``, a nonpositive endpoint of a log grid,
+    and endpoints whose difference overflows.
+    """
+    if steps < 1:
+        raise InvalidInput("--steps must be >= 1")
+    if log:
+        if start <= 0.0 or stop <= 0.0:
+            raise InvalidInput("--log grids need positive endpoints")
+        exps = grid(min(math.log10(start), _LOG10_MAX), min(math.log10(stop), _LOG10_MAX), steps)
+        lo, hi = min(start, stop), max(start, stop)
+        inner = [hi if (p := 10.0**v) > hi else lo if p < lo else p for v in exps[1:-1]]
+        return [start, *inner, stop] if steps > 1 else [start]
+    delta = stop - start
+    if not math.isfinite(delta):
+        raise InvalidInput(f"grid from {start!r} to {stop!r} spans more than the float range")
+    div = steps - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:  # delta is subnormal-small: divide the index first
+        values = [i / div * delta + start for i in range(steps)]
+    else:
+        values = [i * step + start for i in range(steps)]
+    values[-1] = stop
+    return values
 
 
 def sweep(

@@ -136,6 +136,36 @@ def test_sweep_lambda_grid(tmp_path):
     assert [float(r[idx]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
 
 
+_SWEEP_K = ["sweep", "--scenario", BASELINE, "--param", "technology.k"]
+
+
+def test_sweep_log_grid_pins_both_endpoints():
+    code, out, err = run(_SWEEP_K + ["--from", "0.3", "--to", "7.1", "--steps", "9", "--log"])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    assert len(rows) == 9
+    values = [float(row[headers.index("value")]) for row in rows]
+    assert values[0] == 0.3 and values[-1] == 7.1
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SWEEP_K + ["--from", "0", "--to", "2", "--steps", "3", "--log"], "--log grids need positive endpoints"),
+        (_SWEEP_K + ["--from", "-1", "--to", "2", "--steps", "3", "--log"], "--log grids need positive endpoints"),
+        (_SWEEP_K + ["--from", "1", "--to", "-2", "--steps", "3", "--log"], "--log grids need positive endpoints"),
+        (_SWEEP_K + ["--from", "1", "--to", "2", "--steps", "0"], "--steps must be >= 1"),
+        (["trajectory", "--scenario", BASELINE, "--t-max", "1", "--steps", "0"], "--steps must be >= 1"),
+    ],
+    ids=["log-zero", "log-negative-from", "log-negative-to", "sweep-steps", "trajectory-steps"],
+)
+def test_grid_commands_reject_bad_grids(argv, message):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_statics_command(tmp_path):
     code, out, _ = run(["statics", "--scenario", write_scenario(tmp_path)])
     assert code == 0
@@ -170,6 +200,14 @@ def test_statics_steep_labor_supply_exits_cleanly(tmp_path, elasticity):
     assert code == 0, err
     headers, rows = data_rows(out)
     assert all(math.isfinite(float(v)) for v in rows[0])
+
+
+def test_statics_without_a_wage_root_names_the_wage_gap(tmp_path):
+    # So little labor at any wage that the wage gap keeps one sign on the bracket.
+    s = make_scenario(ces=CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0), labor_supply=(1e-300, 1.0))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 3 and out == ""
+    assert "wage gap has no sign change" in err and "excess demand" not in err
 
 
 def test_shares_command(tmp_path):
@@ -249,6 +287,30 @@ def test_exit_two_on_missing_file():
 def test_exit_two_on_bad_flags():
     code, _, _ = run(["bound", "--lambda", "2"])  # missing --k/--rc
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["bound", "--lambda", "1", "--k", "1", "--rc", "nan"], "argument --rc: must be a finite number"),
+        (["bound", "--lambda", "2"], "the following arguments are required: --k, --rc"),
+        (_SWEEP_K + ["--from", "1", "--to", "2", "--steps", "two"], "argument --steps: invalid int value"),
+        (["nope"], "invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["nonfinite", "missing", "bad-int", "unknown-command", "no-command"],
+)
+def test_argument_errors_reach_the_callers_stderr(capsys, argv, fragment):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: caw") and fragment in err and err.count("\n") == 1
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(["sweep", "--help"])
+    assert code == 0 and err == ""
+    assert "--log" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
