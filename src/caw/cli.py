@@ -20,6 +20,7 @@ Diagnostics go to stderr; setting ``CAW_NO_COLOR`` disables styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -81,8 +82,16 @@ def finite_float(text: str) -> float:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises InvalidInput on a rejected command line,
     so run_command reports it on the caller's stderr like any input error
-    (argparse itself prints usage to sys.stderr and exits). Subcommand
-    parsers inherit the class."""
+    (argparse itself prints usage to sys.stderr and exits), and prints help
+    on the caller's ``stdout``. Subcommand parsers share the class and the
+    stream."""
+
+    def __init__(self, *args, stdout=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stdout = stdout
+
+    def print_help(self, file=None):
+        super().print_help(file if file is not None else self.stdout)
 
     def error(self, message: str):
         raise InvalidInput(f"{self.prog}: {message}")
@@ -97,11 +106,15 @@ def _add_scenario_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, metavar="FILE")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(stdout=None) -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="caw", description="Compute-anchored wage model: ceilings, markets, statics."
+        prog="caw",
+        description="Compute-anchored wage model: ceilings, markets, statics.",
+        stdout=stdout,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, stdout=stdout)
+    )
 
     p = sub.add_parser("table1", help="reference ceiling calibration grid")
     _add_output_flags(p)
@@ -334,7 +347,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(stdout).parse_args(argv)
         table = _HANDLERS[args.command](args)
         text = emit_table(table, "json" if args.format == "json" else "csv")
     except (ParseError, ValidationError, InvalidInput) as exc:

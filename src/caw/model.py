@@ -235,9 +235,54 @@ def _finite(value: float) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+_CURVES = ("compute_supply", "compute_demand", "labor_demand_ts", "labor_supply_ts")
+
+# The lower bound validate_scenario puts on each numeric field, by dotted
+# name: (bound, whether the bound itself is allowed, violation code suffix).
+_LOWER_BOUNDS = {
+    "technology.lambda": (0.0, False, "nonpositive"),
+    "technology.k": (0.0, False, "nonpositive"),
+    "technology.g": (0.0, True, "negative"),
+    **{f"ces.{name}": (0.0, False, "nonpositive") for name in ("A", "alpha", "beta", "sigma")},
+    **{f"{curve}.scale": (0.0, False, "nonpositive") for curve in _CURVES},
+    **{f"{curve}.elasticity": (0.0, True, "negative") for curve in _CURVES},
+    "policy.tau_c": (0.0, True, "negative"),
+    "policy.mu": (1.0, True, "below_one"),
+    "output_price": (0.0, False, "nonpositive"),
+}
+
+
+def field_violation(path: str, value) -> Violation | None:
+    """The rule :func:`validate_scenario` applies to the numeric field at
+    ``path`` (``technology.lambda``, ``compute_demand.scale``, ``policy.mu``,
+    ``output_price``, ...), checked on ``value`` alone; None when it holds.
+
+    A sweep checks each grid value with it, so a swept value meets the same
+    rule, and the same message, as one written in a scenario document.
+    """
+    section, _, name = path.rpartition(".")
+    curve = section in _CURVES
+    if not _finite(value):
+        if curve:
+            return Violation(f"{section}.nonfinite", f"{section} has non-finite parameters")
+        return Violation(f"{path}.nonfinite", f"{name} must be finite")
+    bound, inclusive, suffix = _LOWER_BOUNDS[path]
+    if value > bound or (inclusive and value == bound):
+        return None
+    label = path if curve else name
+    return Violation(f"{path}.{suffix}", f"{label} must be {'>=' if inclusive else '>'} {bound:g}")
+
+
+def _check_fields(section: str, values, out: list[Violation]) -> None:
+    out.extend(v for name, value in values if (v := field_violation(f"{section}.{name}", value)))
+
+
 def _check_curve(curve, name: str, expected: CurveKind, out: list[Violation]) -> None:
-    if not _finite(curve.scale) or not _finite(curve.elasticity):
-        out.append(Violation(f"{name}.nonfinite", f"{name} has non-finite parameters"))
+    found: list[Violation] = []
+    _check_fields(name, (("scale", curve.scale), ("elasticity", curve.elasticity)), found)
+    nonfinite = [v for v in found if v.code == f"{name}.nonfinite"]
+    if nonfinite:  # one report for the curve, as both fields give the same one
+        out.append(nonfinite[0])
         return
     if curve.kind is not expected:
         out.append(
@@ -246,23 +291,13 @@ def _check_curve(curve, name: str, expected: CurveKind, out: list[Violation]) ->
                 f"{name} must be a {expected.value} curve, got {curve.kind.value}",
             )
         )
-    if curve.scale <= 0.0:
-        out.append(Violation(f"{name}.scale.nonpositive", f"{name}.scale must be > 0"))
-    if curve.elasticity < 0.0:
-        out.append(Violation(f"{name}.elasticity.negative", f"{name}.elasticity must be >= 0"))
+    out.extend(found)
 
 
 def validate_policy(pol: PolicyLevers) -> list[Violation]:
     """The policy-lever rules of :func:`validate_scenario`, on their own."""
     out: list[Violation] = []
-    if not _finite(pol.tau_c):
-        out.append(Violation("policy.tau_c.nonfinite", "tau_c must be finite"))
-    elif pol.tau_c < 0.0:
-        out.append(Violation("policy.tau_c.negative", "tau_c must be >= 0"))
-    if not _finite(pol.mu):
-        out.append(Violation("policy.mu.nonfinite", "mu must be finite"))
-    elif pol.mu < 1.0:
-        out.append(Violation("policy.mu.below_one", "mu must be >= 1"))
+    _check_fields("policy", (("tau_c", pol.tau_c), ("mu", pol.mu)), out)
     return out
 
 
@@ -272,35 +307,17 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     Never raises: validation is a report, not a gate.
     """
     out: list[Violation] = []
-
-    tech = s.technology
-    for fname, value in (("lambda", tech.lam), ("k", tech.k), ("g", tech.g)):
-        if not _finite(value):
-            out.append(Violation(f"technology.{fname}.nonfinite", f"{fname} must be finite"))
-    if _finite(tech.lam) and tech.lam <= 0.0:
-        out.append(Violation("technology.lambda.nonpositive", "lambda must be > 0"))
-    if _finite(tech.k) and tech.k <= 0.0:
-        out.append(Violation("technology.k.nonpositive", "k must be > 0"))
-    if _finite(tech.g) and tech.g < 0.0:
-        out.append(Violation("technology.g.negative", "g must be >= 0"))
-
-    ces = s.ces
-    for fname, value in (("A", ces.A), ("alpha", ces.alpha), ("beta", ces.beta), ("sigma", ces.sigma)):
-        if not _finite(value):
-            out.append(Violation(f"ces.{fname}.nonfinite", f"{fname} must be finite"))
-        elif value <= 0.0:
-            out.append(Violation(f"ces.{fname}.nonpositive", f"{fname} must be > 0"))
-
+    tech, ces = s.technology, s.ces
+    _check_fields("technology", (("lambda", tech.lam), ("k", tech.k), ("g", tech.g)), out)
+    _check_fields(
+        "ces", (("A", ces.A), ("alpha", ces.alpha), ("beta", ces.beta), ("sigma", ces.sigma)), out
+    )
     _check_curve(s.compute_supply, "compute_supply", CurveKind.SUPPLY, out)
     if s.compute_demand_exogenous is not None:
         _check_curve(s.compute_demand_exogenous, "compute_demand", CurveKind.DEMAND, out)
     _check_curve(s.labor_demand_ts, "labor_demand_ts", CurveKind.DEMAND, out)
     _check_curve(s.labor_supply_ts, "labor_supply_ts", CurveKind.SUPPLY, out)
     out.extend(validate_policy(s.policy))
-
-    if not _finite(s.output_price):
-        out.append(Violation("output_price.nonfinite", "output_price must be finite"))
-    elif s.output_price <= 0.0:
-        out.append(Violation("output_price.nonpositive", "output_price must be > 0"))
-
+    if (v := field_violation("output_price", s.output_price)) is not None:
+        out.append(v)
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -248,30 +248,65 @@ def _tool_version() -> str:
     return __version__
 
 
+def _float_text(value: float) -> str:
+    text = format(value, ".17g")
+    # Integral values print without a point; nan and inf keep their names.
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
+
+
 def format_number(value: float) -> str:
     """17-significant-digit decimal form, always marked as a float."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    text = format(value, ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"
+    return _float_text(value)
+
+
+def _escape_csv(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _cell_text(cell: Any) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
+def _other_text(cell: Any) -> str:
+    # Types outside the dispatch tables: number subclasses, and anything else
+    # by its str().
     if isinstance(cell, (int, float)):
         return format_number(cell)
     return str(cell)
+
+
+def _other_csv(cell: Any) -> str:
+    return _escape_csv(_other_text(cell))
+
+
+def _other_json(cell: Any) -> str:
+    # Containers and number subclasses, as json.dumps writes them one level
+    # down a row (three levels deep in the document).
+    return json.dumps(cell, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Cell renderers keyed by exact type; other types go to _other_csv or
+# _other_json. Only text cells need CSV escaping: number text never holds a
+# comma, a quote or a newline.
+_CSV = {
+    float: _float_text,
+    str: _escape_csv,
+    bool: _BOOL_TEXT.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "",
+}
+_JSON = {
+    float: lambda v: _JSON_NONFINITE.get(text := repr(v), text),
+    str: encode_basestring_ascii,
+    bool: _BOOL_TEXT.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
 
 
 def emit_table(t: OutputTable, format: str = "csv") -> str:
@@ -279,26 +314,32 @@ def emit_table(t: OutputTable, format: str = "csv") -> str:
 
     Both renderings are deterministic byte for byte for identical inputs:
     CSV appends metadata as sorted ``# key=value`` comment lines, the
-    structured format nests metadata alongside the rows.
+    structured format nests metadata alongside the rows and equals
+    ``json.dumps(doc, indent=2, sort_keys=True)``, its rows written directly.
     """
     if format == "csv":
+        cell = _CSV.get
         lines = [",".join(t.headers)]
-        for row in t.rows:
-            lines.append(",".join(_escape_csv(_cell_text(c)) for c in row))
+        lines += [",".join([cell(type(c), _other_csv)(c) for c in row]) for row in t.rows]
         for key in sorted(t.metadata):
-            lines.append(f"# {key}={_cell_text(t.metadata[key])}")
-        return "\n".join(lines) + "\n"
+            value = t.metadata[key]
+            text = value if type(value) is str else cell(type(value), _other_text)(value)
+            lines.append(f"# {key}={text}")
+        lines.append("")
+        return "\n".join(lines)
     if format in ("structured", "json"):
-        doc = {
-            "headers": list(t.headers),
-            "rows": [[c if not isinstance(c, tuple) else list(c) for c in row] for row in t.rows],
-            "metadata": {k: t.metadata[k] for k in sorted(t.metadata)},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = {"headers": list(t.headers), "metadata": t.metadata}
+        head = json.dumps(doc, indent=2, sort_keys=True)[:-2]  # up to the closing "\n}"
+        if not t.rows:
+            return head + ',\n  "rows": []\n}\n'
+        cell = _JSON.get
+        rows = [
+            "    [\n      " + ",\n      ".join([cell(type(c), _other_json)(c) for c in row]) + "\n    ]"
+            if row
+            else "    []"
+            for row in t.rows
+        ]
+        rows[0] = head + ',\n  "rows": [\n' + rows[0]
+        rows[-1] += "\n  ]\n}\n"
+        return ",\n".join(rows)
     raise InvalidInput(f"unknown table format {format!r}")
-
-
-def _escape_csv(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n")):
-        return '"' + text.replace('"', '""') + '"'
-    return text

@@ -35,8 +35,16 @@ from typing import Sequence
 from . import constants
 from .ces import _branch, _cd_exponents, relative_wage
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import clear_market, solve_scenario
-from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, Scenario, Technology
+from .markets import SWEEP_FIELDS, _swept_holders, clear_market, solve_capped_batch, solve_scenario
+from .model import (
+    CesParams,
+    CurveKind,
+    EquilibriumResult,
+    IsoElasticCurve,
+    Scenario,
+    Technology,
+    field_violation,
+)
 from .roots import find_root
 
 
@@ -302,37 +310,14 @@ def wage_bill_response(
 
 
 # The scenario fields the capped and coupled solvers read, as dotted public
-# names for sweep(). The mapping below translates them to attribute paths (the
-# technology ratio is stored as ``lam`` because of the Python keyword).
-SWEEPABLE_PARAMS: tuple[str, ...] = (
-    "technology.lambda",
-    "technology.k",
-    "compute_supply.scale",
-    "compute_supply.elasticity",
-    "compute_demand.scale",
-    "compute_demand.elasticity",
-    "labor_demand_ts.scale",
-    "labor_demand_ts.elasticity",
-    "labor_supply_ts.scale",
-    "labor_supply_ts.elasticity",
-    "policy.tau_c",
-    "policy.mu",
-)
-
-_FIELD_ALIASES = {"lambda": "lam", "compute_demand": "compute_demand_exogenous"}
+# names for sweep().
+SWEEPABLE_PARAMS: tuple[str, ...] = tuple(SWEEP_FIELDS)
 
 
 def scenario_with(s: Scenario, param_path: str, value: float) -> Scenario:
     """Copy of ``s`` with the field at ``param_path`` replaced."""
-    if param_path not in SWEEPABLE_PARAMS:
-        raise InvalidInput(
-            f"unknown sweep parameter {param_path!r}; valid: {', '.join(SWEEPABLE_PARAMS)}"
-        )
-    holder_name, field_name = (_FIELD_ALIASES.get(p, p) for p in param_path.split("."))
-    holder = getattr(s, holder_name)
-    if holder is None:
-        raise InvalidInput(f"scenario has no {param_path.split('.')[0]} to sweep")
-    return replace(s, **{holder_name: replace(holder, **{field_name: value})})
+    (holder,) = _swept_holders(s, param_path, (value,))
+    return replace(s, **{SWEEP_FIELDS[param_path][0]: holder})
 
 
 # The largest float exponent whose power of ten is finite: log10 of an endpoint
@@ -384,17 +369,37 @@ def sweep(
     """Solve the scenario once per grid value of one parameter.
 
     Rows keep grid order; a failing point records its error and the sweep
-    continues.
+    continues. A value that breaks the scenario rule for its field (see
+    :func:`caw.model.field_violation`) is not solved: its row carries the
+    rule's message. Capped sweeps run on :func:`solve_capped_batch`;
+    coupled sweeps solve each point on its own.
     """
     if len(grid) == 0:
         raise InvalidInput("sweep grid must be nonempty")
     if solver not in ("capped", "coupled"):
         raise InvalidInput(f"unknown solver {solver!r}; use 'capped' or 'coupled'")
+    _swept_holders(s, param_path, ())  # an unknown or absent field fails the whole sweep
+    broken = [field_violation(param_path, value) for value in grid]
+    valid = [value for value, violation in zip(grid, broken) if violation is None]
+    if solver == "capped":
+        results = iter(solve_capped_batch(s, param_path, valid))
+    else:
+        results = iter([_coupled_row(scenario_with(s, param_path, value)) for value in valid])
     rows: list[SweepRow] = []
-    for value in grid:
-        point = scenario_with(s, param_path, value)
-        try:
-            rows.append(SweepRow(value=value, result=solve_scenario(point, solver)))
-        except CawError as exc:  # per-row failures are data, not aborts
-            rows.append(SweepRow(value=value, result=None, error=str(exc)))
+    for value, violation in zip(grid, broken):
+        if violation is not None:
+            rows.append(SweepRow(value=value, result=None, error=violation.message))
+            continue
+        result = next(results)
+        if isinstance(result, CawError):
+            rows.append(SweepRow(value=value, result=None, error=str(result)))
+        else:
+            rows.append(SweepRow(value=value, result=result))
     return rows
+
+
+def _coupled_row(point: Scenario) -> EquilibriumResult | CawError:
+    try:
+        return solve_scenario(point, "coupled")
+    except CawError as exc:  # per-row failures are data, not aborts
+        return exc

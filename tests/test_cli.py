@@ -310,7 +310,16 @@ def test_argument_errors_reach_the_callers_stderr(capsys, argv, fragment):
 def test_help_exits_zero(capsys):
     code, out, err = run(["sweep", "--help"])
     assert code == 0 and err == ""
-    assert "--log" in capsys.readouterr().out
+    assert "--log" in out
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["solve", "-h"]])
+def test_help_goes_to_the_given_stdout(capsys, argv):
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: caw")
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -359,6 +368,33 @@ def test_every_sweep_parameter_moves_the_solution(param, mode):
     headers, rows = data_rows(out)
     first, second = (row[1:] for row in rows)
     assert first != second
+
+
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+@pytest.mark.parametrize(
+    "param, start, stop, broken, message",
+    [
+        # Negative scales used to reach a complex clearing price and a TypeError.
+        ("compute_supply.scale", "-1", "1", 2, "compute_supply.scale must be > 0"),
+        ("compute_demand.scale", "-1", "1", 2, "compute_demand.scale must be > 0"),
+        ("labor_demand_ts.scale", "-1", "1", 2, "labor_demand_ts.scale must be > 0"),
+        # These used to solve silently, or fail for the wrong reason.
+        ("policy.mu", "0.5", "0.9", 3, "mu must be >= 1"),
+        ("labor_demand_ts.elasticity", "-1", "0", 2, "labor_demand_ts.elasticity must be >= 0"),
+        ("policy.tau_c", "-1", "0", 2, "tau_c must be >= 0"),
+        ("technology.lambda", "-1", "1", 2, "lambda must be > 0"),
+        ("technology.k", "-1", "1", 2, "k must be > 0"),
+    ],
+)
+def test_sweep_values_breaking_a_scenario_rule_are_error_rows(param, start, stop, broken, message, mode):
+    code, out, err = run(["sweep", "--scenario", BASELINE, "--param", param, "--from", start,
+                          "--to", stop, "--steps", "3", "--mode", mode])
+    assert code == 0 and err == ""
+    headers, rows = data_rows(out)
+    records = [dict(zip(headers, row)) for row in rows]
+    assert [r["error"] for r in records[:broken]] == [message] * broken
+    for record in records[broken:]:
+        assert record["error"] == "" and record["regime"]
 
 
 def test_exit_three_on_no_equilibrium(tmp_path):

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caw import (
+    SWEEPABLE_PARAMS,
+    CawError,
     DegenerateCeiling,
     InvalidInput,
     NoEquilibrium,
@@ -15,6 +17,7 @@ from caw import (
     solve_capped_labor_market,
     solve_compute_market,
     solve_coupled,
+    scenario_with,
     solve_scenario,
     supply_curve,
 )
@@ -366,3 +369,53 @@ def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(monkeypatch, scena
         expected = full.k_c_star + exogenous - scenario.compute_supply.quantity(r_c)
         assert excess(r_c) == expected
     assert sides == {True, False}
+
+
+# --- the capped batch kernel ---------------------------------------------------------
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+_elasticity = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    lam=_positive,
+    k=_positive,
+    compute=st.one_of(st.none(), st.tuples(_positive, _elasticity)),
+    curves=st.tuples(_positive, _elasticity, _positive, _elasticity, _positive, _elasticity),
+    tau_c=st.floats(min_value=0.0, max_value=2.0),
+    mu=st.floats(min_value=1.0, max_value=3.0),
+)
+def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, tau_c, mu):
+    # Shared stages (compute price, labor clearing) give each row exactly what
+    # solving that point on its own gives, errors included.
+    cs, cs_e, ld, ld_e, ls, ls_e = curves
+    s = make_scenario(lam=lam, k=k, compute_supply=(cs, cs_e), compute_demand=compute,
+                      labor_demand=(ld, ld_e), labor_supply=(ls, ls_e), tau_c=tau_c, mu=mu)
+    params = [p for p in SWEEPABLE_PARAMS if compute is not None or not p.startswith("compute_demand")]
+    param = data.draw(st.sampled_from(params))
+    values = data.draw(st.lists(_positive, min_size=1, max_size=6))
+    for value, row in zip(values, markets.solve_capped_batch(s, param, values), strict=True):
+        try:
+            direct = solve_scenario(scenario_with(s, param, value), "capped")
+        except CawError as exc:
+            assert isinstance(row, CawError) and str(row) == str(exc)
+        else:
+            assert repr(row) == repr(direct)
+
+
+def test_capped_batch_shares_a_stage_error_with_every_row():
+    s = make_scenario(compute_demand=None)
+    rows = markets.solve_capped_batch(s, "technology.lambda", [1.0, 2.0])
+    assert [str(r) for r in rows] == ["scenario has no exogenous compute demand to clear against"] * 2
+    with pytest.raises(InvalidInput, match="no exogenous compute demand"):
+        solve_scenario(s, "capped")
+
+
+def test_capped_batch_rejects_unknown_or_absent_fields(baseline_scenario):
+    with pytest.raises(InvalidInput, match="unknown sweep parameter"):
+        markets.solve_capped_batch(baseline_scenario, "ces.sigma", [1.0])
+    with pytest.raises(InvalidInput, match="no compute_demand to sweep"):
+        markets.solve_capped_batch(make_scenario(compute_demand=None), "compute_demand.scale", [1.0])

@@ -21,7 +21,7 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
-from caw.scenario_io import format_number, standard_metadata
+from caw.scenario_io import _escape_csv, format_number, standard_metadata
 from conftest import make_scenario
 
 MINIMAL = '{"caw_schema": 1, "technology": {"lambda": 1.0, "k": 1.0}}'
@@ -211,3 +211,75 @@ def test_standard_metadata_has_required_keys():
     assert meta["source_sha256"] == "deadbeef"
     assert "caw_version" in meta
     assert any(key.startswith("tol_") for key in meta)
+
+
+# --- emission against reference renderings ------------------------------------------
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, float("nan"),
+                     float("inf"), float("-inf")]),
+    st.integers(min_value=10**16, max_value=10**17).map(float),  # integral, around 17 digits
+    st.integers(min_value=-(10**17), max_value=-(10**16)).map(float),
+)
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from([",", '"', "\n", "\r", " ", "a", "1", ".", "é", "中", "😀"])),
+)
+_CELLS = st.one_of(
+    _FLOATS,
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.none(),
+    _TEXT,
+    st.lists(st.integers(), max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(min_value=0, max_value=4))
+    headers = tuple(draw(st.lists(st.text(alphabet="abc_", min_size=1), min_size=width, max_size=width)))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=5))
+    metadata = draw(st.dictionaries(st.text(alphabet="abcxyz_", min_size=1), _CELLS, min_size=1, max_size=4))
+    return OutputTable(headers=headers, rows=tuple(rows), metadata=metadata)
+
+
+def _reference_csv(t):
+    def text(cell):
+        if cell is None:
+            return ""
+        if isinstance(cell, (int, float)):
+            return format_number(cell)
+        return str(cell)
+
+    lines = [",".join(t.headers)]
+    lines += [",".join(_escape_csv(text(c)) for c in row) for row in t.rows]
+    lines += [f"# {key}={text(t.metadata[key])}" for key in sorted(t.metadata)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_emitted_json_equals_json_dumps(t):
+    doc = {"headers": list(t.headers), "rows": [list(row) for row in t.rows], "metadata": t.metadata}
+    assert emit_table(t, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_emitted_csv_equals_the_per_cell_reference(t):
+    assert emit_table(t, "csv") == _reference_csv(t)
+
+
+@pytest.mark.parametrize("headers", [(), ("a", "b")])
+def test_empty_rows_in_both_formats(headers):
+    t = OutputTable(headers=headers, rows=(), metadata={"k": 1.0})
+    doc = {"headers": list(headers), "rows": [], "metadata": {"k": 1.0}}
+    assert emit_table(t, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert emit_table(t, "csv") == _reference_csv(t) == ",".join(headers) + "\n# k=1.0\n"
+
+
+def test_float_text_marks_integral_values_and_keeps_special_names():
+    assert [format_number(v) for v in (0.0, -0.0, 1e16, 1e17, float("nan"), float("-inf"))] == [
+        "0.0", "-0.0", "10000000000000000.0", "1e+17", "nan", "-inf"]

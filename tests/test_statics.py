@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caw import (
@@ -13,6 +13,7 @@ from caw import (
     InvalidInput,
     NoEquilibrium,
     Regime,
+    SWEEPABLE_PARAMS,
     StaticsSetup,
     Technology,
     caw_trajectory,
@@ -22,12 +23,14 @@ from caw import (
     scenario_with,
     semi_elasticity,
     solve_coupled,
+    solve_scenario,
     solve_statics_point,
     supply_curve,
     sweep,
+    validate_scenario,
     wage_bill_response,
 )
-from caw import constants, statics
+from caw import constants, markets
 from caw.model import IsoElasticCurve
 from conftest import make_scenario, rel_err
 
@@ -364,12 +367,40 @@ def test_sweep_over_extreme_compute_elasticity_has_finite_rows():
 
 
 def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
-    def broken(scenario, mode):
+    # The capped batch kernel places every row against caw_ceiling.
+    def broken(tech, r_c, policy=None):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(statics, "solve_scenario", broken)
+    monkeypatch.setattr(markets, "caw_ceiling", broken)
     with pytest.raises(ZeroDivisionError):
         sweep(baseline_scenario, "technology.k", [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    param=st.sampled_from(SWEEPABLE_PARAMS),
+    value=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+)
+def test_sweep_checks_values_with_the_scenario_rules(param, value):
+    # A swept value meets exactly the rule a scenario document meets.
+    s = make_scenario()
+    point = scenario_with(s, param, value)
+    expected = [v.message for v in validate_scenario(point)]
+    (row,) = sweep(s, param, [value])
+    if expected:
+        assert [row.error] == expected and row.result is None
+        return
+    try:
+        direct, error = solve_scenario(point, "capped"), None
+    except CawError as exc:
+        direct, error = None, str(exc)
+    assert (repr(row.result), row.error) == (repr(direct), error)
+
+
+def test_sweep_row_for_a_nonfinite_value_names_the_rule(baseline_scenario):
+    rows = sweep(baseline_scenario, "technology.lambda", [math.nan, 1.0], solver="coupled")
+    assert rows[0].error == "lambda must be finite" and rows[0].result is None
+    assert rows[1].error is None
 
 
 def test_sweep_rejects_unknown_parameter(baseline_scenario):
