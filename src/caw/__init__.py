@@ -64,7 +64,6 @@ from .statics import (
     WageBillState,
     caw_trajectory,
     grid,
-    scenario_with,
     semi_elasticity,
     solve_statics_point,
     sweep,
@@ -125,7 +124,6 @@ __all__ = [
     "wage_bill_response",
     "sweep",
     "grid",
-    "scenario_with",
     # calibration
     "CalibrationCell",
     "table1",

@@ -68,8 +68,11 @@ def _branch(sigma: float) -> str:
 
 
 def _cd_exponents(ces: CesParams) -> tuple[float, float]:
-    total = ces.alpha + ces.beta
-    return ces.alpha / total, ces.beta / total
+    alpha, beta = ces.alpha, ces.beta
+    if math.isinf(alpha + beta):  # halving is exact and keeps the ratio
+        alpha, beta = alpha / 2.0, beta / 2.0
+    total = alpha + beta
+    return alpha / total, beta / total
 
 
 def _require_positive_params(ces: CesParams) -> None:

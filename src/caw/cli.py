@@ -12,7 +12,7 @@ Subcommands:
 * ``shares``     -- factor shares at the solved equilibrium
 
 All commands emit one table as CSV on stdout by default; ``--format json``
-switches to the structured format and ``--out FILE`` writes to a file.
+switches to JSON and ``--out FILE`` writes to a file.
 Exit codes: 0 success, 2 validation/input errors, 3 solver non-convergence.
 Diagnostics go to stderr; setting ``CAW_NO_COLOR`` disables styling.
 """
@@ -349,7 +349,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     try:
         args = _build_parser(stdout).parse_args(argv)
         table = _HANDLERS[args.command](args)
-        text = emit_table(table, "json" if args.format == "json" else "csv")
+        text = emit_table(table, args.format)
     except (ParseError, ValidationError, InvalidInput) as exc:
         _diagnostic(stderr, str(exc))
         return 2

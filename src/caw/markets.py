@@ -7,9 +7,12 @@ rate as given and applies the wage ceiling; the coupled solver closes the
 loop by finding the rental rate at which compute supplied equals agent
 compute use plus any exogenous compute demand.
 
-Every capped solve runs on one kernel, :func:`solve_capped_batch`: a single
-scenario is a batch of one, and a one-parameter sweep computes the stages
-its parameter does not touch once for the whole grid.
+Every solve runs on one kernel, :func:`solve_batch`: a single scenario in
+either mode is a batch of one, and a one-parameter sweep computes the stages
+its parameter does not touch once for the whole grid. A capped row takes
+the compute-market price, a coupled row searches for its fixed-point rate,
+and both place the labor market against the ceiling with the same
+arithmetic.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
 log price over the initial bracket [1e-9, 1e9], expanded geometrically a
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import constants
 from .bound import caw_ceiling, classify_regime
-from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium
+from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     CurveKind,
     EquilibriumResult,
@@ -35,6 +38,8 @@ from .model import (
     Regime,
     Scenario,
     Technology,
+    field_violation,
+    validate_scenario,
 )
 from .roots import find_root
 
@@ -148,10 +153,10 @@ SWEEP_FIELDS: dict[str, tuple[str, str]] = {
 }
 
 
-def _swept_holders(s: Scenario, param: str, values: Iterable[float]) -> Iterator:
-    """The scenario part holding ``param`` with that field set to each value,
-    made one at a time by positional construction (less than half the cost
-    of ``dataclasses.replace``). Unknown or absent fields raise at once.
+def _swept_holder(s: Scenario, param: str):
+    """A function taking a value to the scenario part holding ``param`` with
+    that field set to it, built by positional construction (less than half
+    the cost of ``dataclasses.replace``). Unknown or absent fields raise.
     """
     if param not in SWEEP_FIELDS:
         raise InvalidInput(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_FIELDS)}")
@@ -163,32 +168,27 @@ def _swept_holders(s: Scenario, param: str, values: Iterable[float]) -> Iterator
     args = [getattr(holder, n) for n in names]
     at, cls = names.index(name), type(holder)
     before, after = args[:at], args[at + 1 :]
-    return (cls(*before, value, *after) for value in values)
+    return lambda value: cls(*before, value, *after)
 
 
-def _capped_at_zero_ceiling(
-    tech: Technology, supply: IsoElasticCurve, demand: IsoElasticCurve
-) -> EquilibriumResult:
-    # Ceiling exactly zero: only meaningful when labor demand stays bounded
-    # as the wage falls to zero (perfectly inelastic demand).
-    if demand.elasticity > 0.0:
-        raise DegenerateCeiling("labor demand is unbounded as the wage falls to zero")
-    demand0 = demand.scale
-    supply0 = supply.scale if supply.elasticity == 0.0 else 0.0
-    l_h = min(supply0, demand0)
-    l_a = tech.lam * max(0.0, demand0 - supply0)
-    return EquilibriumResult(
-        regime=Regime.MIXED,
-        w_h_star=0.0,
-        r_c_star=0.0,
-        ceiling=0.0,
-        l_h_star=l_h,
-        l_a_star=l_a,
-        k_c_star=tech.k * l_a,
-        ceiling_binds=True,
-        labor_supply_at_wage=supply0,
-        labor_demand_at_wage=demand0,
-    )
+def _agent_labor(
+    tech: Technology, ceiling: float, supply: IsoElasticCurve, demand: IsoElasticCurve
+) -> tuple[float, float, float]:
+    """Labor supplied and demanded at a binding ceiling, and the agent labor
+    lam * (demand - supply) that fills the gap.
+
+    At a zero ceiling only a perfectly inelastic curve has a quantity: labor
+    demand must be one (else DegenerateCeiling), and elastic supply is 0.
+    """
+    if ceiling == 0.0:
+        if demand.elasticity > 0.0:
+            raise DegenerateCeiling("labor demand is unbounded as the wage falls to zero")
+        demand_at = demand.scale
+        supply_at = supply.scale if supply.elasticity == 0.0 else 0.0
+    else:
+        demand_at = demand.quantity(ceiling)
+        supply_at = supply.quantity(ceiling)
+    return supply_at, demand_at, tech.lam * max(0.0, demand_at - supply_at)
 
 
 def _place_at_ceiling(
@@ -197,23 +197,20 @@ def _place_at_ceiling(
     r_c_star: float,
     supply: IsoElasticCurve,
     demand: IsoElasticCurve,
-    w_clear: float | CawError | None,
+    w_clear: float | CawError,
 ) -> EquilibriumResult:
     """One capped labor-market solve at a known rental rate.
 
     ``w_clear`` is the uncapped clearing wage of ``supply`` against
-    ``demand`` (or the error clearing raised) when the caller has it, None
-    to clear here; it is read only when the ceiling is positive.
+    ``demand``, or the error clearing raised; it is read only when the
+    ceiling is positive. A zero ceiling reports a zero rental rate.
     """
     ceiling = caw_ceiling(tech, r_c_star, policy)
     if ceiling == 0.0:
-        return _capped_at_zero_ceiling(tech, supply, demand)
-    if w_clear is None:
-        w_clear = _clearing_price(supply, demand)
+        ceiling = r_c_star = 0.0
     elif isinstance(w_clear, CawError):
         raise w_clear.with_traceback(None)
-
-    if w_clear <= ceiling:
+    elif w_clear <= ceiling:
         regime = classify_regime(w_clear, ceiling, constants.REGIME_BAND_ABS)
         l_h = supply.quantity(w_clear)
         return EquilibriumResult(
@@ -229,22 +226,49 @@ def _place_at_ceiling(
             labor_demand_at_wage=demand.quantity(w_clear),
         )
 
-    demand_at_ceiling = demand.quantity(ceiling)
-    supply_at_ceiling = supply.quantity(ceiling)
-    l_h = min(supply_at_ceiling, demand_at_ceiling)
-    l_a = tech.lam * max(0.0, demand_at_ceiling - supply_at_ceiling)
+    supply_at_ceiling, demand_at_ceiling, l_a = _agent_labor(tech, ceiling, supply, demand)
     return EquilibriumResult(
         regime=classify_regime(ceiling, ceiling, constants.REGIME_BAND_ABS),
         w_h_star=ceiling,
         r_c_star=r_c_star,
         ceiling=ceiling,
-        l_h_star=l_h,
+        l_h_star=min(supply_at_ceiling, demand_at_ceiling),
         l_a_star=l_a,
         k_c_star=tech.k * l_a,
         ceiling_binds=True,
         labor_supply_at_wage=supply_at_ceiling,
         labor_demand_at_wage=demand_at_ceiling,
     )
+
+
+def _coupled_rate(
+    tech: Technology,
+    policy: PolicyLevers,
+    compute_supply: IsoElasticCurve,
+    compute_demand: IsoElasticCurve | None,
+    supply: IsoElasticCurve,
+    demand: IsoElasticCurve,
+    w_clear: float | CawError,
+) -> float:
+    """The rental rate at which compute supplied equals agent use k * l_a
+    plus exogenous demand, by a bracketed Brent search on log rental rate.
+
+    Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
+    read without building a result; a clearing error raises first.
+    """
+    if isinstance(w_clear, CawError):
+        raise w_clear.with_traceback(None)
+
+    def excess(r_c: float) -> float:
+        ceiling = caw_ceiling(tech, r_c, policy)
+        if ceiling != 0.0 and w_clear <= ceiling:
+            derived = 0.0
+        else:
+            derived = tech.k * _agent_labor(tech, ceiling, supply, demand)[2]
+        exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
+        return derived + exogenous - compute_supply.quantity(r_c)
+
+    return find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale).root
 
 
 def _attempt(fn, *args):
@@ -255,71 +279,88 @@ def _attempt(fn, *args):
         return exc
 
 
+# The scenario parts a solve reads, in the order the kernel unpacks them.
+_PARTS = (
+    "technology",
+    "policy",
+    "compute_supply",
+    "compute_demand_exogenous",
+    "labor_supply_ts",
+    "labor_demand_ts",
+)
 _COMPUTE_PARTS = ("compute_supply", "compute_demand_exogenous")
 _LABOR_PARTS = ("labor_supply_ts", "labor_demand_ts")
 
 
-def solve_capped_batch(
+def solve_batch(
     s: Scenario,
     param: str | None = None,
     values: Sequence[float] = (),
     *,
+    mode: str = "capped",
     r_c_star: float | None = None,
 ) -> list[EquilibriumResult | CawError]:
-    """Capped solves of ``s`` with the field ``param`` (a :data:`SWEEP_FIELDS`
-    name) set to each of ``values``, in order; with no ``param``, the one
-    solve of ``s`` itself.
+    """Solves of ``s`` with the field ``param`` (a :data:`SWEEP_FIELDS` name)
+    set to each of ``values``, in order; with no ``param``, the one solve of
+    ``s`` itself.
 
-    Each row clears the compute market from exogenous demand (or takes
-    ``r_c_star`` when given) and places the labor market against the
-    ceiling. A row is its :class:`EquilibriumResult` or the CawError its
-    solve raised; other exceptions propagate. The compute-market price is
-    computed once when no compute curve is swept, and the uncapped labor
-    clearing once when no labor curve is swept; what such a shared stage
-    returns or raises holds for every row. Values are not validated here.
+    A ``"capped"`` row clears the compute market from exogenous demand (or
+    takes ``r_c_star`` when given); a ``"coupled"`` row searches for the
+    rental rate of the joint fixed point. Both then place the labor market
+    against the ceiling. A row is its :class:`EquilibriumResult` or the
+    CawError its solve raised; a swept value that breaks its scenario rule
+    (:func:`caw.model.field_violation`) is a ValidationError row with the
+    rule's message. Other exceptions propagate.
+
+    ``s`` is validated once, on entry (ValidationError). The compute-market
+    price is computed once when no compute curve is swept, and the uncapped
+    labor clearing once when no labor curve is swept; what such a shared
+    stage returns or raises holds for every row.
     """
+    if mode not in ("capped", "coupled"):
+        raise InvalidInput(f"unknown solve mode {mode!r}; use 'capped' or 'coupled'")
+    coupled = mode == "coupled"
+    if coupled and r_c_star is not None:
+        raise InvalidInput("a coupled solve finds its own rental rate; r_c_star is for capped solves")
+    violations = validate_scenario(s)
+    if violations:
+        raise ValidationError(violations)
+
+    parts = [getattr(s, name) for name in _PARTS]
     if param is None:
-        attr, holders = None, [None]
+        attr, values = None, (None,)
     else:
-        holders = _swept_holders(s, param, values)
+        make = _swept_holder(s, param)
         attr = SWEEP_FIELDS[param][0]
+        at = _PARTS.index(attr)
 
     rate = r_c_star
-    if rate is None and attr not in _COMPUTE_PARTS:
+    if rate is None and not coupled and attr not in _COMPUTE_PARTS:
         rate = _attempt(_rental_rate, s.compute_supply, s.compute_demand_exogenous)
-    w_clear = None
-    if attr not in _LABOR_PARTS:
-        w_clear = _attempt(_clearing_price, s.labor_supply_ts, s.labor_demand_ts)
+    labor_swept = attr in _LABOR_PARTS
+    w_clear = None if labor_swept else _attempt(_clearing_price, s.labor_supply_ts, s.labor_demand_ts)
 
-    parts = {
-        "technology": s.technology,
-        "policy": s.policy,
-        "compute_supply": s.compute_supply,
-        "compute_demand_exogenous": s.compute_demand_exogenous,
-        "labor_supply_ts": s.labor_supply_ts,
-        "labor_demand_ts": s.labor_demand_ts,
-    }
     rows: list[EquilibriumResult | CawError] = []
-    for holder in holders:
+    for value in values:
+        if attr is not None:
+            violation = field_violation(param, value)
+            if violation is not None:
+                rows.append(ValidationError([violation]))
+                continue
+            parts[at] = make(value)
         if isinstance(rate, CawError):
             rows.append(rate)
             continue
-        if attr is not None:
-            parts[attr] = holder
+        tech, policy, compute_supply, compute_demand, supply, demand = parts
+        clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
-            r_c = rate
-            if r_c is None:
-                r_c = _rental_rate(parts["compute_supply"], parts["compute_demand_exogenous"])
-            rows.append(
-                _place_at_ceiling(
-                    parts["technology"],
-                    parts["policy"],
-                    r_c,
-                    parts["labor_supply_ts"],
-                    parts["labor_demand_ts"],
-                    w_clear,
-                )
-            )
+            if coupled:
+                r_c = _coupled_rate(tech, policy, compute_supply, compute_demand, supply, demand, clear)
+            elif rate is None:
+                r_c = _rental_rate(compute_supply, compute_demand)
+            else:
+                r_c = rate
+            rows.append(_place_at_ceiling(tech, policy, r_c, supply, demand, clear))
         except CawError as exc:  # per-row failures are data, not aborts
             rows.append(exc)
     return rows
@@ -343,7 +384,7 @@ def solve_capped_labor_market(s: Scenario, r_c_star: float) -> EquilibriumResult
     """
     if r_c_star < 0.0:
         raise InvalidInput(f"rental rate must be nonnegative, got {r_c_star!r}")
-    return _one(solve_capped_batch(s, r_c_star=r_c_star))
+    return _one(solve_batch(s, r_c_star=r_c_star))
 
 
 def solve_coupled(s: Scenario) -> EquilibriumResult:
@@ -352,35 +393,11 @@ def solve_coupled(s: Scenario) -> EquilibriumResult:
     At each candidate rental rate the capped labor market determines agent
     labor and hence derived compute demand k * l_a; a bracketed Brent search
     on log rental rate drives total excess compute demand to zero. Any shift
-    that moves the rental rate moves the wage ceiling in lockstep.
-
-    The uncapped clearing wage does not depend on the rental rate, so the
-    labor market is cleared once; each excess evaluation then only places
-    the ceiling against it, with the arithmetic of
-    :func:`solve_capped_labor_market`.
+    that moves the rental rate moves the wage ceiling in lockstep. The
+    uncapped clearing wage does not depend on the rental rate, so the labor
+    market is cleared once per solve.
     """
-    tech, policy = s.technology, s.policy
-    labor_demand, labor_supply = s.labor_demand_ts, s.labor_supply_ts
-    w_clear = clear_market(labor_supply, labor_demand).price
-
-    def excess(r_c: float) -> float:
-        ceiling = caw_ceiling(tech, r_c, policy)
-        if ceiling == 0.0:
-            derived = solve_capped_labor_market(s, r_c).k_c_star
-        elif w_clear <= ceiling:
-            derived = 0.0
-        else:
-            gap = labor_demand.quantity(ceiling) - labor_supply.quantity(ceiling)
-            derived = tech.k * (tech.lam * max(0.0, gap))
-        exogenous = (
-            s.compute_demand_exogenous.quantity(r_c)
-            if s.compute_demand_exogenous is not None
-            else 0.0
-        )
-        return derived + exogenous - s.compute_supply.quantity(r_c)
-
-    report = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * s.compute_supply.scale)
-    return solve_capped_labor_market(s, report.root)
+    return _one(solve_batch(s, mode="coupled"))
 
 
 def solve_scenario(s: Scenario, mode: str = "capped") -> EquilibriumResult:
@@ -390,8 +407,4 @@ def solve_scenario(s: Scenario, mode: str = "capped") -> EquilibriumResult:
     feeds the rental rate to the capped labor market; ``"coupled"`` solves
     the joint fixed point.
     """
-    if mode == "capped":
-        return _one(solve_capped_batch(s))
-    if mode == "coupled":
-        return solve_coupled(s)
-    raise InvalidInput(f"unknown solve mode {mode!r}")
+    return _one(solve_batch(s, mode=mode))

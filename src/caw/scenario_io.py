@@ -310,11 +310,11 @@ _JSON = {
 
 
 def emit_table(t: OutputTable, format: str = "csv") -> str:
-    """Render a table as CSV or as the structured (JSON) format.
+    """Render a table as ``"csv"`` or ``"json"``.
 
     Both renderings are deterministic byte for byte for identical inputs:
-    CSV appends metadata as sorted ``# key=value`` comment lines, the
-    structured format nests metadata alongside the rows and equals
+    CSV appends metadata as sorted ``# key=value`` comment lines, JSON
+    nests metadata alongside the rows and equals
     ``json.dumps(doc, indent=2, sort_keys=True)``, its rows written directly.
     """
     if format == "csv":
@@ -327,7 +327,7 @@ def emit_table(t: OutputTable, format: str = "csv") -> str:
             lines.append(f"# {key}={text}")
         lines.append("")
         return "\n".join(lines)
-    if format in ("structured", "json"):
+    if format == "json":
         doc = {"headers": list(t.headers), "metadata": t.metadata}
         head = json.dumps(doc, indent=2, sort_keys=True)[:-2]  # up to the closing "\n}"
         if not t.rows:

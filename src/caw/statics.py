@@ -35,7 +35,7 @@ from typing import Sequence
 from . import constants
 from .ces import _branch, _cd_exponents, relative_wage
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import SWEEP_FIELDS, _swept_holders, clear_market, solve_capped_batch, solve_scenario
+from .markets import SWEEP_FIELDS, clear_market, solve_batch
 from .model import (
     CesParams,
     CurveKind,
@@ -43,7 +43,6 @@ from .model import (
     IsoElasticCurve,
     Scenario,
     Technology,
-    field_violation,
 )
 from .roots import find_root
 
@@ -314,12 +313,6 @@ def wage_bill_response(
 SWEEPABLE_PARAMS: tuple[str, ...] = tuple(SWEEP_FIELDS)
 
 
-def scenario_with(s: Scenario, param_path: str, value: float) -> Scenario:
-    """Copy of ``s`` with the field at ``param_path`` replaced."""
-    (holder,) = _swept_holders(s, param_path, (value,))
-    return replace(s, **{SWEEP_FIELDS[param_path][0]: holder})
-
-
 # The largest float exponent whose power of ten is finite: log10 of an endpoint
 # near the float maximum may round past it.
 _LOG10_MAX = math.nextafter(math.log10(sys.float_info.max), 0.0)
@@ -366,40 +359,19 @@ def grid(start: float, stop: float, steps: int, log: bool = False) -> list[float
 def sweep(
     s: Scenario, param_path: str, grid: Sequence[float], solver: str = "capped"
 ) -> list[SweepRow]:
-    """Solve the scenario once per grid value of one parameter.
+    """Solve the scenario once per grid value of one parameter, in either
+    mode, on :func:`caw.markets.solve_batch`.
 
     Rows keep grid order; a failing point records its error and the sweep
     continues. A value that breaks the scenario rule for its field (see
     :func:`caw.model.field_violation`) is not solved: its row carries the
-    rule's message. Capped sweeps run on :func:`solve_capped_batch`;
-    coupled sweeps solve each point on its own.
+    rule's message.
     """
     if len(grid) == 0:
         raise InvalidInput("sweep grid must be nonempty")
-    if solver not in ("capped", "coupled"):
-        raise InvalidInput(f"unknown solver {solver!r}; use 'capped' or 'coupled'")
-    _swept_holders(s, param_path, ())  # an unknown or absent field fails the whole sweep
-    broken = [field_violation(param_path, value) for value in grid]
-    valid = [value for value, violation in zip(grid, broken) if violation is None]
-    if solver == "capped":
-        results = iter(solve_capped_batch(s, param_path, valid))
-    else:
-        results = iter([_coupled_row(scenario_with(s, param_path, value)) for value in valid])
-    rows: list[SweepRow] = []
-    for value, violation in zip(grid, broken):
-        if violation is not None:
-            rows.append(SweepRow(value=value, result=None, error=violation.message))
-            continue
-        result = next(results)
-        if isinstance(result, CawError):
-            rows.append(SweepRow(value=value, result=None, error=str(result)))
-        else:
-            rows.append(SweepRow(value=value, result=result))
-    return rows
-
-
-def _coupled_row(point: Scenario) -> EquilibriumResult | CawError:
-    try:
-        return solve_scenario(point, "coupled")
-    except CawError as exc:  # per-row failures are data, not aborts
-        return exc
+    return [
+        SweepRow(value=value, result=None, error=str(result))
+        if isinstance(result, CawError)
+        else SweepRow(value=value, result=result)
+        for value, result in zip(grid, solve_batch(s, param_path, grid, mode=solver))
+    ]

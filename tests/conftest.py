@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -41,6 +42,19 @@ def make_scenario(
         policy=PolicyLevers(tau_c=tau_c, mu=mu),
         output_price=output_price,
     )
+
+
+# Dotted sweep names whose scenario attribute or field name differs.
+_FIELD_NAMES = {"lambda": "lam", "compute_demand": "compute_demand_exogenous"}
+
+
+def with_field(s, param, value):
+    """Copy of ``s`` with the field at the dotted sweep name ``param`` set to
+    ``value``: an oracle for one row of a sweep, built with ``replace`` and
+    its own name mapping rather than the kernel's ``SWEEP_FIELDS``."""
+    section, name = (_FIELD_NAMES.get(part, part) for part in param.split("."))
+    part = getattr(s, section)
+    return replace(s, **{section: replace(part, **{name: value})})
 
 
 @pytest.fixture

@@ -202,6 +202,26 @@ def test_statics_steep_labor_supply_exits_cleanly(tmp_path, elasticity):
     assert all(math.isfinite(float(v)) for v in rows[0])
 
 
+_MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize("command", ["ces", "statics"])
+def test_cobb_douglas_weights_whose_sum_overflows_exit_cleanly(tmp_path, command):
+    # alpha + beta is infinite; the exponents still come out as 1/2 each.
+    if command == "ces":
+        argv = ["ces", "--alpha", _MAX, "--beta", _MAX, "--sigma", "1", "--wh", "1", "--wa", "1"]
+    else:
+        ces = CesParams(A=1.0, alpha=float(_MAX), beta=float(_MAX), sigma=1.0)
+        argv = ["statics", "--scenario", write_scenario(tmp_path, make_scenario(ces=ces))]
+    code, out, err = run(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0:
+        _, rows = data_rows(out)
+        assert all(math.isfinite(float(v)) for v in rows[0])
+    else:
+        assert err.startswith("error:") and out == ""
+
+
 def test_statics_without_a_wage_root_names_the_wage_gap(tmp_path):
     # So little labor at any wage that the wage gap keeps one sign on the bracket.
     s = make_scenario(ces=CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0), labor_supply=(1e-300, 1.0))

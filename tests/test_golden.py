@@ -3,8 +3,10 @@
 Each file under ``tests/golden/`` is the stdout of one ``run_command`` call;
 the test reruns the call and compares bytes. The files cover a 5-point
 capped sweep of ``scenarios/baseline.json`` over every sweepable parameter,
-linear and ``--log``, CSV and JSON, one coupled sweep, and sweeps that hold
-error rows (a zero ceiling, inelastic curves with unequal quantities).
+linear and ``--log``, CSV and JSON, a 5-point coupled CSV sweep over every
+sweepable parameter, and sweeps that hold error rows (a zero ceiling,
+inelastic curves with unequal quantities, and a coupled sweep of inelastic
+compute supply with a value that breaks a scenario rule).
 
 A change that moves these bytes on purpose regenerates them with
 
@@ -45,6 +47,14 @@ def _specs() -> dict[str, tuple[Path, list[str]]]:
         ["--param", "technology.lambda", "--from", "0.25", "--to", "4", "--steps", "5",
          "--mode", "coupled"],
     )
+    for param in SWEEPABLE_PARAMS:
+        if param != "technology.lambda":
+            start, stop = _RANGES.get(param, (0.5, 2.0))
+            specs[f"coupled-{param}-lin.csv"] = (
+                BASELINE,
+                ["--param", param, "--from", repr(start), "--to", repr(stop), "--steps", "5",
+                 "--mode", "coupled"],
+            )
     # lambda = 5e-324 at r_c = 0.5 rounds the ceiling to exactly zero: the
     # first row (inelastic demand) takes the zero-ceiling corner, the others
     # raise DegenerateCeiling.
@@ -58,6 +68,14 @@ def _specs() -> dict[str, tuple[Path, list[str]]]:
         GOLDEN / "inelastic_labor.json",
         ["--param", "labor_demand_ts.elasticity", "--from", "0", "--to", "1", "--steps", "5",
          "--format", "json"],
+    )
+    # Inelastic compute supply against an inelastic exogenous demand of 3:
+    # scale 0 breaks the scenario rule, scales 1 and 2 leave excess compute
+    # demand at every rental rate (NoEquilibrium), 3 and 4 clear.
+    specs["error-coupled-inelastic-compute.csv"] = (
+        GOLDEN / "inelastic_compute.json",
+        ["--param", "compute_supply.scale", "--from", "0", "--to", "4", "--steps", "5",
+         "--mode", "coupled"],
     )
     return specs
 

@@ -12,17 +12,18 @@ from caw import (
     InvalidInput,
     NoEquilibrium,
     Regime,
+    ValidationError,
     clear_market,
     demand_curve,
     solve_capped_labor_market,
     solve_compute_market,
     solve_coupled,
-    scenario_with,
     solve_scenario,
     supply_curve,
+    sweep,
 )
 from caw import markets
-from conftest import make_scenario, rel_err
+from conftest import make_scenario, rel_err, with_field
 
 
 # --- clear_market ------------------------------------------------------------
@@ -302,8 +303,10 @@ def test_solve_scenario_modes(baseline_scenario):
     assert capped.r_c_star == pytest.approx(2.0, rel=1e-12)
     coupled = solve_scenario(baseline_scenario, "coupled")
     assert coupled.r_c_star > capped.r_c_star  # agent demand adds to compute demand
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="unknown solve mode 'newton'"):
         solve_scenario(baseline_scenario, "newton")
+    with pytest.raises(InvalidInput, match="unknown solve mode 'newton'"):
+        sweep(baseline_scenario, "technology.k", [1.0], solver="newton")
 
 
 # --- coupled solve work and the hoisted excess --------------------------------------
@@ -371,7 +374,7 @@ def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(monkeypatch, scena
     assert sides == {True, False}
 
 
-# --- the capped batch kernel ---------------------------------------------------------
+# --- the batch kernel ------------------------------------------------------------------
 
 
 _positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -387,19 +390,20 @@ _elasticity = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
     curves=st.tuples(_positive, _elasticity, _positive, _elasticity, _positive, _elasticity),
     tau_c=st.floats(min_value=0.0, max_value=2.0),
     mu=st.floats(min_value=1.0, max_value=3.0),
+    mode=st.sampled_from(["capped", "coupled"]),
 )
-def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, tau_c, mu):
+def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, tau_c, mu, mode):
     # Shared stages (compute price, labor clearing) give each row exactly what
-    # solving that point on its own gives, errors included.
+    # solving that point on its own gives, errors included, in both modes.
     cs, cs_e, ld, ld_e, ls, ls_e = curves
     s = make_scenario(lam=lam, k=k, compute_supply=(cs, cs_e), compute_demand=compute,
                       labor_demand=(ld, ld_e), labor_supply=(ls, ls_e), tau_c=tau_c, mu=mu)
     params = [p for p in SWEEPABLE_PARAMS if compute is not None or not p.startswith("compute_demand")]
     param = data.draw(st.sampled_from(params))
     values = data.draw(st.lists(_positive, min_size=1, max_size=6))
-    for value, row in zip(values, markets.solve_capped_batch(s, param, values), strict=True):
+    for value, row in zip(values, markets.solve_batch(s, param, values, mode=mode), strict=True):
         try:
-            direct = solve_scenario(scenario_with(s, param, value), "capped")
+            direct = solve_scenario(with_field(s, param, value), mode)
         except CawError as exc:
             assert isinstance(row, CawError) and str(row) == str(exc)
         else:
@@ -408,7 +412,7 @@ def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, 
 
 def test_capped_batch_shares_a_stage_error_with_every_row():
     s = make_scenario(compute_demand=None)
-    rows = markets.solve_capped_batch(s, "technology.lambda", [1.0, 2.0])
+    rows = markets.solve_batch(s, "technology.lambda", [1.0, 2.0])
     assert [str(r) for r in rows] == ["scenario has no exogenous compute demand to clear against"] * 2
     with pytest.raises(InvalidInput, match="no exogenous compute demand"):
         solve_scenario(s, "capped")
@@ -416,6 +420,39 @@ def test_capped_batch_shares_a_stage_error_with_every_row():
 
 def test_capped_batch_rejects_unknown_or_absent_fields(baseline_scenario):
     with pytest.raises(InvalidInput, match="unknown sweep parameter"):
-        markets.solve_capped_batch(baseline_scenario, "ces.sigma", [1.0])
+        markets.solve_batch(baseline_scenario, "ces.sigma", [1.0])
     with pytest.raises(InvalidInput, match="no compute_demand to sweep"):
-        markets.solve_capped_batch(make_scenario(compute_demand=None), "compute_demand.scale", [1.0])
+        markets.solve_batch(make_scenario(compute_demand=None), "compute_demand.scale", [1.0])
+
+
+def test_batch_rejects_a_rental_rate_in_coupled_mode(baseline_scenario):
+    with pytest.raises(InvalidInput, match="r_c_star"):
+        markets.solve_batch(baseline_scenario, mode="coupled", r_c_star=2.0)
+
+
+def test_coupled_batch_shares_a_labor_clearing_error_with_every_row():
+    # Inelastic labor curves with unequal quantities: no wage clears, and the
+    # stored error is each coupled row's, as for the one-point solve.
+    s = make_scenario(labor_demand=(10.0, 0.0), labor_supply=(1.0, 0.0))
+    rows = markets.solve_batch(s, "technology.lambda", [1.0, 2.0], mode="coupled")
+    with pytest.raises(NoEquilibrium) as info:
+        solve_coupled(s)
+    assert [str(r) for r in rows] == [str(info.value)] * 2
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (make_scenario(compute_supply=(-1.0, 1.0)), "compute_supply.scale must be > 0"),
+        (make_scenario(labor_demand=(-10.0, 1.0)), "labor_demand_ts.scale must be > 0"),
+    ],
+)
+def test_library_solves_validate_their_scenario(scenario, message):
+    # A scenario built in code without validation gets the rule's message,
+    # not a TypeError from a complex clearing price (or, coupled, a
+    # misleading NoEquilibrium).
+    for mode in ("capped", "coupled"):
+        with pytest.raises(ValidationError, match=message):
+            solve_scenario(scenario, mode)
+    with pytest.raises(ValidationError, match=message):
+        solve_capped_labor_market(scenario, 2.0)

@@ -184,16 +184,22 @@ def test_metadata_is_sorted_and_trailing():
 
 
 def test_structured_format_nests_metadata():
-    doc = json.loads(emit_table(table_fixture(((2.0,),)), "structured"))
+    doc = json.loads(emit_table(table_fixture(((2.0,),)), "json"))
     assert doc["headers"] == ["ceiling"]
     assert doc["rows"] == [[2.0]]
     assert doc["metadata"]["caw_version"] == "0.1.0"
 
 
+def test_unknown_table_format_rejected():
+    for fmt in ("structured", "xml"):
+        with pytest.raises(InvalidInput, match="unknown table format"):
+            emit_table(table_fixture(((2.0,),)), fmt)
+
+
 def test_emission_is_deterministic():
     t = table_fixture(((2.0,), (0.1,)))
     assert emit_table(t, "csv") == emit_table(t, "csv")
-    assert emit_table(t, "structured") == emit_table(t, "structured")
+    assert emit_table(t, "json") == emit_table(t, "json")
 
 
 def test_row_length_mismatch_rejected():

@@ -20,7 +20,6 @@ from caw import (
     ces_output,
     demand_curve,
     relative_wage,
-    scenario_with,
     semi_elasticity,
     solve_coupled,
     solve_scenario,
@@ -32,7 +31,7 @@ from caw import (
 )
 from caw import constants, markets
 from caw.model import IsoElasticCurve
-from conftest import make_scenario, rel_err
+from conftest import make_scenario, rel_err, with_field
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
 
@@ -353,7 +352,7 @@ def test_sweep_row_error_is_the_solver_message():
     s = make_scenario(compute_supply=(1.0, 0.0), compute_demand=(3.0, 0.0))
     rows = sweep(s, "compute_supply.scale", [1.0, 5.0], solver="coupled")
     with pytest.raises(NoEquilibrium) as info:
-        solve_coupled(scenario_with(s, "compute_supply.scale", 1.0))
+        solve_coupled(with_field(s, "compute_supply.scale", 1.0))
     assert rows[0].result is None and rows[0].error == str(info.value)
     assert rows[1].error is None
 
@@ -384,7 +383,7 @@ def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
 def test_sweep_checks_values_with_the_scenario_rules(param, value):
     # A swept value meets exactly the rule a scenario document meets.
     s = make_scenario()
-    point = scenario_with(s, param, value)
+    point = with_field(s, param, value)
     expected = [v.message for v in validate_scenario(point)]
     (row,) = sweep(s, param, [value])
     if expected:
