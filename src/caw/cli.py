@@ -31,7 +31,7 @@ from .calibration import factor_shares, table1
 from .ces import conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
-from .model import CesParams, PolicyLevers, Scenario, Technology, validate_policy
+from .model import CesParams, PolicyLevers, Scenario, Technology, field_violation
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -198,13 +198,23 @@ def _cmd_table1(args) -> OutputTable:
     return OutputTable(headers=("lambda", "k", "r_c", "ceiling"), rows=tuple(rows), metadata=meta)
 
 
-def _cmd_bound(args) -> OutputTable:
-    tech = Technology(lam=args.lam, k=args.k)
-    policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    violations = validate_policy(policy)
+def _check_flags(values: dict[str, float]) -> None:
+    """Raise one ValidationError for every model flag, keyed by its scenario
+    field path, that breaks the rule a scenario document meets."""
+    violations = [v for path, value in values.items() if (v := field_violation(path, value)) is not None]
     if violations:
         raise ValidationError(violations)
+
+
+def _cmd_bound(args) -> OutputTable:
+    _check_flags(
+        {"technology.lambda": args.lam, "technology.k": args.k, "policy.tau_c": args.tau, "policy.mu": args.mu}
+    )
+    tech = Technology(lam=args.lam, k=args.k)
+    policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
     ceiling = caw_ceiling(tech, args.rc, policy)
+    if not math.isfinite(ceiling):
+        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
     meta = standard_metadata(
         inputs_sha256(
             {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
@@ -219,6 +229,7 @@ def _cmd_bound(args) -> OutputTable:
 
 
 def _cmd_ces(args) -> OutputTable:
+    _check_flags({"ces.A": args.A, "ces.alpha": args.alpha, "ces.beta": args.beta, "ces.sigma": args.sigma})
     ces = CesParams(A=args.A, alpha=args.alpha, beta=args.beta, sigma=args.sigma)
     cost = unit_cost(ces, args.wh, args.wa)
     pair = conditional_demands(ces, args.wh, args.wa)

@@ -24,13 +24,15 @@ solved concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import constants
 from .bound import caw_ceiling, classify_regime
 from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
+    FIELDS,
+    SECTIONS,
     CurveKind,
     EquilibriumResult,
     IsoElasticCurve,
@@ -134,41 +136,34 @@ def solve_compute_market(s: Scenario) -> ClearingPoint:
     return clear_market(s.compute_supply, _exogenous(s.compute_demand_exogenous))
 
 
-# The scenario fields the capped and coupled solvers read, by public dotted
-# name, as (Scenario attribute, field). The technology ratio is stored as
-# ``lam`` because of the Python keyword.
-SWEEP_FIELDS: dict[str, tuple[str, str]] = {
-    "technology.lambda": ("technology", "lam"),
-    "technology.k": ("technology", "k"),
-    "compute_supply.scale": ("compute_supply", "scale"),
-    "compute_supply.elasticity": ("compute_supply", "elasticity"),
-    "compute_demand.scale": ("compute_demand_exogenous", "scale"),
-    "compute_demand.elasticity": ("compute_demand_exogenous", "elasticity"),
-    "labor_demand_ts.scale": ("labor_demand_ts", "scale"),
-    "labor_demand_ts.elasticity": ("labor_demand_ts", "elasticity"),
-    "labor_supply_ts.scale": ("labor_supply_ts", "scale"),
-    "labor_supply_ts.elasticity": ("labor_supply_ts", "elasticity"),
-    "policy.tau_c": ("policy", "tau_c"),
-    "policy.mu": ("policy", "mu"),
-}
+# The scenario parts a solve reads, in SECTIONS order: all but the CES
+# parameters and the output price.
+_PARTS = tuple(section.attr for section in SECTIONS if section.key not in ("ces", "output_price"))
+
+# The fields a solve reads, by dotted document name (caw.model.FIELDS): the
+# only ones a sweep may vary. No solve reads technology.g, which only moves
+# the ceiling over time (caw.statics.caw_trajectory).
+SWEEPABLE_PARAMS: tuple[str, ...] = tuple(
+    f.path for section in SECTIONS if section.attr in _PARTS for f in section.fields
+    if f.path != "technology.g"
+)
 
 
 def _swept_holder(s: Scenario, param: str):
-    """A function taking a value to the scenario part holding ``param`` with
-    that field set to it, built by positional construction (less than half
-    the cost of ``dataclasses.replace``). Unknown or absent fields raise.
-    """
-    if param not in SWEEP_FIELDS:
-        raise InvalidInput(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_FIELDS)}")
-    attr, name = SWEEP_FIELDS[param]
-    holder = getattr(s, attr)
+    """The Scenario attribute of the part holding ``param``, and a function
+    setting the field on that part by positional construction (less than
+    half the cost of ``dataclasses.replace``). Unknown or absent fields raise."""
+    if param not in SWEEPABLE_PARAMS:
+        raise InvalidInput(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEPABLE_PARAMS)}")
+    field = FIELDS[param]
+    section = next(section for section in SECTIONS if field in section.fields)
+    holder = getattr(s, section.attr)
     if holder is None:
-        raise InvalidInput(f"scenario has no {param.split('.')[0]} to sweep")
-    names = [f.name for f in fields(holder)]
-    args = [getattr(holder, n) for n in names]
-    at, cls = names.index(name), type(holder)
+        raise InvalidInput(f"scenario has no {section.key} to sweep")
+    args = section.args(holder)
+    at, cls = field.position, type(holder)
     before, after = args[:at], args[at + 1 :]
-    return lambda value: cls(*before, value, *after)
+    return section.attr, lambda value: cls(*before, value, *after)
 
 
 def _agent_labor(
@@ -203,28 +198,28 @@ def _place_at_ceiling(
 
     ``w_clear`` is the uncapped clearing wage of ``supply`` against
     ``demand``, or the error clearing raised; it is read only when the
-    ceiling is positive. A zero ceiling reports a zero rental rate.
+    ceiling is positive. A zero ceiling, even one that underflows at a
+    positive rate, binds; the result reports ``r_c_star`` as given.
     """
     ceiling = caw_ceiling(tech, r_c_star, policy)
-    if ceiling == 0.0:
-        ceiling = r_c_star = 0.0
-    elif isinstance(w_clear, CawError):
-        raise w_clear.with_traceback(None)
-    elif w_clear <= ceiling:
-        regime = classify_regime(w_clear, ceiling, constants.REGIME_BAND_ABS)
-        l_h = supply.quantity(w_clear)
-        return EquilibriumResult(
-            regime=regime,
-            w_h_star=w_clear,
-            r_c_star=r_c_star,
-            ceiling=ceiling,
-            l_h_star=l_h,
-            l_a_star=0.0,
-            k_c_star=0.0,
-            ceiling_binds=regime is Regime.MIXED,
-            labor_supply_at_wage=l_h,
-            labor_demand_at_wage=demand.quantity(w_clear),
-        )
+    if ceiling != 0.0:
+        if isinstance(w_clear, CawError):
+            raise w_clear.with_traceback(None)
+        if w_clear <= ceiling:
+            regime = classify_regime(w_clear, ceiling, constants.REGIME_BAND_ABS)
+            l_h = supply.quantity(w_clear)
+            return EquilibriumResult(
+                regime=regime,
+                w_h_star=w_clear,
+                r_c_star=r_c_star,
+                ceiling=ceiling,
+                l_h_star=l_h,
+                l_a_star=0.0,
+                k_c_star=0.0,
+                ceiling_binds=regime is Regime.MIXED,
+                labor_supply_at_wage=l_h,
+                labor_demand_at_wage=demand.quantity(w_clear),
+            )
 
     supply_at_ceiling, demand_at_ceiling, l_a = _agent_labor(tech, ceiling, supply, demand)
     return EquilibriumResult(
@@ -279,15 +274,6 @@ def _attempt(fn, *args):
         return exc
 
 
-# The scenario parts a solve reads, in the order the kernel unpacks them.
-_PARTS = (
-    "technology",
-    "policy",
-    "compute_supply",
-    "compute_demand_exogenous",
-    "labor_supply_ts",
-    "labor_demand_ts",
-)
 _COMPUTE_PARTS = ("compute_supply", "compute_demand_exogenous")
 _LABOR_PARTS = ("labor_supply_ts", "labor_demand_ts")
 
@@ -300,7 +286,7 @@ def solve_batch(
     mode: str = "capped",
     r_c_star: float | None = None,
 ) -> list[EquilibriumResult | CawError]:
-    """Solves of ``s`` with the field ``param`` (a :data:`SWEEP_FIELDS` name)
+    """Solves of ``s`` with the field ``param`` (a :data:`SWEEPABLE_PARAMS` name)
     set to each of ``values``, in order; with no ``param``, the one solve of
     ``s`` itself.
 
@@ -330,8 +316,7 @@ def solve_batch(
     if param is None:
         attr, values = None, (None,)
     else:
-        make = _swept_holder(s, param)
-        attr = SWEEP_FIELDS[param][0]
+        attr, make = _swept_holder(s, param)
         at = _PARTS.index(attr)
 
     rate = r_c_star
@@ -351,7 +336,7 @@ def solve_batch(
         if isinstance(rate, CawError):
             rows.append(rate)
             continue
-        tech, policy, compute_supply, compute_demand, supply, demand = parts
+        tech, compute_supply, compute_demand, demand, supply, policy = parts
         clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
             if coupled:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidInput
 
@@ -231,74 +232,118 @@ class Violation:
         return self.message
 
 
-def _finite(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+class Field(NamedTuple):
+    """One numeric scenario field, the lower bound :func:`validate_scenario`
+    puts on it, and the violation each way of breaking that bound reports."""
+
+    path: str  # dotted document name: "technology.lambda", "output_price"
+    key: str  # key within its section's object
+    attr: str  # attribute of the part that holds it ("lam" for "lambda")
+    position: int  # index of that attribute among the part's constructor arguments
+    default: float | None  # REQUIRED (None): every document must give it
+    bound: float
+    inclusive: bool  # whether the bound itself is allowed
+    nonfinite: Violation
+    below: Violation
 
 
-_CURVES = ("compute_supply", "compute_demand", "labor_demand_ts", "labor_supply_ts")
+class Section(NamedTuple):
+    """One part of a :class:`Scenario`, as a scenario document writes it."""
 
-# The lower bound validate_scenario puts on each numeric field, by dotted
-# name: (bound, whether the bound itself is allowed, violation code suffix).
-_LOWER_BOUNDS = {
-    "technology.lambda": (0.0, False, "nonpositive"),
-    "technology.k": (0.0, False, "nonpositive"),
-    "technology.g": (0.0, True, "negative"),
-    **{f"ces.{name}": (0.0, False, "nonpositive") for name in ("A", "alpha", "beta", "sigma")},
-    **{f"{curve}.scale": (0.0, False, "nonpositive") for curve in _CURVES},
-    **{f"{curve}.elasticity": (0.0, True, "negative") for curve in _CURVES},
-    "policy.tau_c": (0.0, True, "negative"),
-    "policy.mu": (1.0, True, "below_one"),
-    "output_price": (0.0, False, "nonpositive"),
-}
+    key: str  # document key
+    attr: str  # Scenario attribute
+    kind: type | CurveKind  # the part's class (float for a bare number), or a curve's kind
+    fields: tuple[Field, ...]  # in document order
+    nullable: bool = False  # a document may write null: the scenario has no such part
+
+    def values(self, part) -> list:
+        """The field values of ``part``, in field order."""
+        if self.kind is float:
+            return [part]
+        return [getattr(part, f.attr) for f in self.fields]
+
+    def args(self, part) -> list:
+        """``part``'s constructor arguments: a curve's kind, then its field values."""
+        values = self.values(part)
+        return [part.kind, *values] if isinstance(self.kind, CurveKind) else values
+
+    def build(self, values):
+        """The part holding ``values``, given in field order."""
+        if isinstance(self.kind, CurveKind):
+            return IsoElasticCurve(self.kind, *values)
+        return self.kind(*values)
+
+
+REQUIRED = None
+
+# Lower-bound rules: (bound, whether the bound itself is allowed, violation code suffix).
+_POSITIVE = (0.0, False, "nonpositive")
+_NONNEGATIVE = (0.0, True, "negative")
+_AT_LEAST_ONE = (1.0, True, "below_one")
+
+
+def _section(key: str, attr: str, kind, *specs, nullable: bool = False) -> Section:
+    """A Section from one ``(document key, attribute, default, rule)`` spec per
+    field. Violations name a curve field by its path and any other field by
+    its key, and a curve reports non-finite values once for both fields."""
+    curve = isinstance(kind, CurveKind)
+    curve_nonfinite = Violation(f"{key}.nonfinite", f"{key} has non-finite parameters")
+    fields = []
+    for position, (name, field_attr, default, (bound, inclusive, code)) in enumerate(specs, start=curve):
+        path = key if kind is float else f"{key}.{name}"
+        nonfinite = curve_nonfinite if curve else Violation(f"{path}.nonfinite", f"{name} must be finite")
+        label = path if curve else name
+        below = Violation(f"{path}.{code}", f"{label} must be {'>=' if inclusive else '>'} {bound:g}")
+        fields.append(Field(path, name, field_attr, position, default, bound, inclusive, nonfinite, below))
+    return Section(key, attr, kind, tuple(fields), nullable)
+
+
+def _curve_fields(scale: float, elasticity: float) -> tuple:
+    return ("scale", "scale", scale, _POSITIVE), ("elasticity", "elasticity", elasticity, _NONNEGATIVE)
+
+
+# The scenario document schema, in document order (also the order of
+# Scenario's fields): each field's key, attribute, default and lower-bound
+# rule. Parsing, emission, validation, sweeps and CLI flag checks all read it.
+SECTIONS: tuple[Section, ...] = (
+    _section("technology", "technology", Technology,
+             ("lambda", "lam", REQUIRED, _POSITIVE),
+             ("k", "k", REQUIRED, _POSITIVE),
+             ("g", "g", 0.0, _NONNEGATIVE)),
+    _section("ces", "ces", CesParams,
+             ("A", "A", 1.0, _POSITIVE),
+             ("alpha", "alpha", 0.5, _POSITIVE),
+             ("beta", "beta", 0.5, _POSITIVE),
+             ("sigma", "sigma", 2.0, _POSITIVE)),
+    _section("compute_supply", "compute_supply", CurveKind.SUPPLY, *_curve_fields(1.0, 1.0)),
+    _section("compute_demand", "compute_demand_exogenous", CurveKind.DEMAND, *_curve_fields(4.0, 1.0),
+             nullable=True),
+    _section("labor_demand_ts", "labor_demand_ts", CurveKind.DEMAND, *_curve_fields(10.0, 1.0)),
+    _section("labor_supply_ts", "labor_supply_ts", CurveKind.SUPPLY, *_curve_fields(1.0, 1.0)),
+    _section("policy", "policy", PolicyLevers,
+             ("tau_c", "tau_c", 0.0, _NONNEGATIVE),
+             ("mu", "mu", 1.0, _AT_LEAST_ONE)),
+    _section("output_price", "output_price", float, ("output_price", "output_price", 1.0, _POSITIVE)),
+)
+
+# Every field of SECTIONS, by its dotted document name.
+FIELDS: dict[str, Field] = {f.path: f for section in SECTIONS for f in section.fields}
 
 
 def field_violation(path: str, value) -> Violation | None:
-    """The rule :func:`validate_scenario` applies to the numeric field at
-    ``path`` (``technology.lambda``, ``compute_demand.scale``, ``policy.mu``,
-    ``output_price``, ...), checked on ``value`` alone; None when it holds.
+    """The rule :func:`validate_scenario` applies to the field at ``path``
+    (a :data:`FIELDS` name such as ``technology.lambda`` or ``policy.mu``),
+    checked on ``value`` alone; None when it holds.
 
-    A sweep checks each grid value with it, so a swept value meets the same
-    rule, and the same message, as one written in a scenario document.
+    Sweeps check each grid value with it, and the CLI each model flag, so
+    those meet the same rule, and message, as a scenario document.
     """
-    section, _, name = path.rpartition(".")
-    curve = section in _CURVES
-    if not _finite(value):
-        if curve:
-            return Violation(f"{section}.nonfinite", f"{section} has non-finite parameters")
-        return Violation(f"{path}.nonfinite", f"{name} must be finite")
-    bound, inclusive, suffix = _LOWER_BOUNDS[path]
-    if value > bound or (inclusive and value == bound):
+    f = FIELDS[path]
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        return f.nonfinite
+    if value > f.bound or (f.inclusive and value == f.bound):
         return None
-    label = path if curve else name
-    return Violation(f"{path}.{suffix}", f"{label} must be {'>=' if inclusive else '>'} {bound:g}")
-
-
-def _check_fields(section: str, values, out: list[Violation]) -> None:
-    out.extend(v for name, value in values if (v := field_violation(f"{section}.{name}", value)))
-
-
-def _check_curve(curve, name: str, expected: CurveKind, out: list[Violation]) -> None:
-    found: list[Violation] = []
-    _check_fields(name, (("scale", curve.scale), ("elasticity", curve.elasticity)), found)
-    nonfinite = [v for v in found if v.code == f"{name}.nonfinite"]
-    if nonfinite:  # one report for the curve, as both fields give the same one
-        out.append(nonfinite[0])
-        return
-    if curve.kind is not expected:
-        out.append(
-            Violation(
-                f"{name}.kind_mismatch",
-                f"{name} must be a {expected.value} curve, got {curve.kind.value}",
-            )
-        )
-    out.extend(found)
-
-
-def validate_policy(pol: PolicyLevers) -> list[Violation]:
-    """The policy-lever rules of :func:`validate_scenario`, on their own."""
-    out: list[Violation] = []
-    _check_fields("policy", (("tau_c", pol.tau_c), ("mu", pol.mu)), out)
-    return out
+    return f.below
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -307,17 +352,19 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     Never raises: validation is a report, not a gate.
     """
     out: list[Violation] = []
-    tech, ces = s.technology, s.ces
-    _check_fields("technology", (("lambda", tech.lam), ("k", tech.k), ("g", tech.g)), out)
-    _check_fields(
-        "ces", (("A", ces.A), ("alpha", ces.alpha), ("beta", ces.beta), ("sigma", ces.sigma)), out
-    )
-    _check_curve(s.compute_supply, "compute_supply", CurveKind.SUPPLY, out)
-    if s.compute_demand_exogenous is not None:
-        _check_curve(s.compute_demand_exogenous, "compute_demand", CurveKind.DEMAND, out)
-    _check_curve(s.labor_demand_ts, "labor_demand_ts", CurveKind.DEMAND, out)
-    _check_curve(s.labor_supply_ts, "labor_supply_ts", CurveKind.SUPPLY, out)
-    out.extend(validate_policy(s.policy))
-    if (v := field_violation("output_price", s.output_price)) is not None:
-        out.append(v)
+    for section in SECTIONS:
+        part = getattr(s, section.attr)
+        if part is None and section.nullable:
+            continue
+        values = zip(section.fields, section.values(part))
+        found = [v for f, value in values if (v := field_violation(f.path, value)) is not None]
+        if isinstance(section.kind, CurveKind):
+            nonfinite = section.fields[0].nonfinite
+            if nonfinite in found:  # one report for the curve, as both fields give the same one
+                out.append(nonfinite)
+                continue
+            if part.kind is not section.kind:
+                message = f"{section.key} must be a {section.kind.value} curve, got {part.kind.value}"
+                out.append(Violation(f"{section.key}.kind_mismatch", message))
+        out.extend(found)
     return out

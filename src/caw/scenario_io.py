@@ -1,24 +1,16 @@
 """Scenario document parsing/emission and deterministic table output.
 
-Scenario documents are JSON with a mandatory schema version key:
-
-    {
-      "caw_schema": 1,
-      "technology":      {"lambda": 1.0, "k": 1.0, "g": 0.0},
-      "ces":             {"A": 1.0, "alpha": 0.5, "beta": 0.5, "sigma": 2.0},
-      "compute_supply":  {"scale": 1.0, "elasticity": 1.0},
-      "compute_demand":  {"scale": 4.0, "elasticity": 1.0},
-      "labor_demand_ts": {"scale": 10.0, "elasticity": 1.0},
-      "labor_supply_ts": {"scale": 1.0, "elasticity": 1.0},
-      "policy":          {"tau_c": 0.0, "mu": 1.0},
-      "output_price": 1.0
-    }
+Scenario documents are JSON objects: a mandatory ``"caw_schema": 1`` and
+one key per section of :data:`caw.model.SECTIONS`, the scenario schema
+table, which gives every field's key, default and lower-bound rule
+(``scenarios/baseline.json`` writes every field out).
 
 Only ``caw_schema`` and ``technology`` (with ``lambda`` and ``k``) are
-required; every other key has the documented default shown above, so a
-minimal document runs. ``compute_demand`` may be ``null`` for scenarios
-whose only compute demand derives from agent labor (coupled mode). Unknown
-keys are rejected rather than ignored.
+required. An omitted section takes the table's defaults, and so does a key
+omitted from ``technology``, ``ces`` or ``policy``; a curve section that is
+written must give both its keys. ``compute_demand`` may be ``null`` for
+scenarios whose only compute demand derives from agent labor (coupled
+mode). Unknown keys are rejected rather than ignored.
 
 Table output is deterministic byte for byte: CSV uses ``.`` decimals, no
 thousands separators, headers on the first line, and metadata as trailing
@@ -36,36 +28,9 @@ from typing import Any, Mapping
 
 from . import constants
 from .errors import InvalidInput, ParseError, ValidationError
-from .model import (
-    CesParams,
-    CurveKind,
-    IsoElasticCurve,
-    PolicyLevers,
-    Scenario,
-    Technology,
-    validate_scenario,
-)
+from .model import REQUIRED, SECTIONS, CurveKind, Scenario, Section, validate_scenario
 
 SCHEMA_VERSION = 1
-
-DEFAULT_CES = {"A": 1.0, "alpha": 0.5, "beta": 0.5, "sigma": 2.0}
-DEFAULT_COMPUTE_SUPPLY = {"scale": 1.0, "elasticity": 1.0}
-DEFAULT_COMPUTE_DEMAND = {"scale": 4.0, "elasticity": 1.0}
-DEFAULT_LABOR_DEMAND = {"scale": 10.0, "elasticity": 1.0}
-DEFAULT_LABOR_SUPPLY = {"scale": 1.0, "elasticity": 1.0}
-DEFAULT_POLICY = {"tau_c": 0.0, "mu": 1.0}
-
-_TOP_LEVEL_KEYS = (
-    "caw_schema",
-    "technology",
-    "ces",
-    "compute_supply",
-    "compute_demand",
-    "labor_demand_ts",
-    "labor_supply_ts",
-    "policy",
-    "output_price",
-)
 
 
 def _as_number(value: Any, where: str) -> float:
@@ -75,21 +40,30 @@ def _as_number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _section(doc: Mapping[str, Any], key: str, known: tuple[str, ...]) -> dict[str, Any]:
+def _part(doc: Mapping[str, Any], section: Section):
+    """The scenario part ``section`` describes in ``doc``."""
+    key = section.key
+    if key not in doc:
+        if any(f.default is REQUIRED for f in section.fields):
+            raise ParseError(f"missing mandatory key '{key}'")
+        return section.build([f.default for f in section.fields])
     raw = doc[key]
+    if section.kind is float:
+        return _as_number(raw, key)
+    if raw is None and section.nullable:
+        return None
     if not isinstance(raw, dict):
         raise ParseError(f"{key}: expected an object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(known))
+    unknown = sorted(set(raw) - {f.key for f in section.fields})
     if unknown:
         raise ParseError(f"{key}: unknown keys {unknown}")
-    return raw
-
-
-def _curve(raw: Mapping[str, Any], key: str, kind: CurveKind) -> IsoElasticCurve:
-    return IsoElasticCurve(
-        kind=kind,
-        scale=_as_number(raw.get("scale"), f"{key}.scale"),
-        elasticity=_as_number(raw.get("elasticity"), f"{key}.elasticity"),
+    for f in section.fields:
+        if f.default is REQUIRED and f.key not in raw:
+            raise ParseError(f"{key}: missing required key '{f.key}'")
+    # A curve is written whole: a key it lacks reads as null, and is rejected as one.
+    whole = isinstance(section.kind, CurveKind)
+    return section.build(
+        [_as_number(raw.get(f.key, None if whole else f.default), f.path) for f in section.fields]
     )
 
 
@@ -106,101 +80,29 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError(f"scenario document must be a JSON object, got {type(doc).__name__}")
 
-    unknown = sorted(set(doc) - set(_TOP_LEVEL_KEYS))
+    unknown = sorted(set(doc) - {"caw_schema", *(section.key for section in SECTIONS)})
     if unknown:
         raise ParseError(f"unknown top-level keys {unknown}")
     if "caw_schema" not in doc:
         raise ParseError("missing mandatory key 'caw_schema'")
     if doc["caw_schema"] != SCHEMA_VERSION:
         raise ParseError(f"unsupported caw_schema {doc['caw_schema']!r}; this tool reads version {SCHEMA_VERSION}")
-    if "technology" not in doc:
-        raise ParseError("missing mandatory key 'technology'")
 
-    tech_raw = _section(doc, "technology", ("lambda", "k", "g"))
-    for required in ("lambda", "k"):
-        if required not in tech_raw:
-            raise ParseError(f"technology: missing required key '{required}'")
-    technology = Technology(
-        lam=_as_number(tech_raw["lambda"], "technology.lambda"),
-        k=_as_number(tech_raw["k"], "technology.k"),
-        g=_as_number(tech_raw.get("g", 0.0), "technology.g"),
-    )
-
-    ces_raw = _section(doc, "ces", ("A", "alpha", "beta", "sigma")) if "ces" in doc else DEFAULT_CES
-    ces = CesParams(
-        A=_as_number(ces_raw.get("A", DEFAULT_CES["A"]), "ces.A"),
-        alpha=_as_number(ces_raw.get("alpha", DEFAULT_CES["alpha"]), "ces.alpha"),
-        beta=_as_number(ces_raw.get("beta", DEFAULT_CES["beta"]), "ces.beta"),
-        sigma=_as_number(ces_raw.get("sigma", DEFAULT_CES["sigma"]), "ces.sigma"),
-    )
-
-    curve_keys = ("scale", "elasticity")
-    supply_raw = (
-        _section(doc, "compute_supply", curve_keys) if "compute_supply" in doc else DEFAULT_COMPUTE_SUPPLY
-    )
-    compute_supply = _curve(supply_raw, "compute_supply", CurveKind.SUPPLY)
-
-    if "compute_demand" in doc and doc["compute_demand"] is None:
-        compute_demand = None
-    else:
-        demand_raw = (
-            _section(doc, "compute_demand", curve_keys) if "compute_demand" in doc else DEFAULT_COMPUTE_DEMAND
-        )
-        compute_demand = _curve(demand_raw, "compute_demand", CurveKind.DEMAND)
-
-    labor_demand_raw = (
-        _section(doc, "labor_demand_ts", curve_keys) if "labor_demand_ts" in doc else DEFAULT_LABOR_DEMAND
-    )
-    labor_demand = _curve(labor_demand_raw, "labor_demand_ts", CurveKind.DEMAND)
-
-    labor_supply_raw = (
-        _section(doc, "labor_supply_ts", curve_keys) if "labor_supply_ts" in doc else DEFAULT_LABOR_SUPPLY
-    )
-    labor_supply = _curve(labor_supply_raw, "labor_supply_ts", CurveKind.SUPPLY)
-
-    policy_raw = _section(doc, "policy", ("tau_c", "mu")) if "policy" in doc else DEFAULT_POLICY
-    policy = PolicyLevers(
-        tau_c=_as_number(policy_raw.get("tau_c", 0.0), "policy.tau_c"),
-        mu=_as_number(policy_raw.get("mu", 1.0), "policy.mu"),
-    )
-
-    output_price = _as_number(doc.get("output_price", 1.0), "output_price")
-
-    scenario = Scenario(
-        technology=technology,
-        ces=ces,
-        compute_supply=compute_supply,
-        compute_demand_exogenous=compute_demand,
-        labor_demand_ts=labor_demand,
-        labor_supply_ts=labor_supply,
-        policy=policy,
-        output_price=output_price,
-    )
+    scenario = Scenario(**{section.attr: _part(doc, section) for section in SECTIONS})
     violations = validate_scenario(scenario)
     if violations:
         raise ValidationError(violations)
     return scenario
 
 
-def _curve_doc(curve: IsoElasticCurve | None) -> dict[str, float] | None:
-    if curve is None:
-        return None
-    return {"scale": curve.scale, "elasticity": curve.elasticity}
-
-
 def emit_scenario(s: Scenario) -> str:
     """Canonical scenario document; parse(emit(s)) == s field for field."""
-    doc = {
-        "caw_schema": SCHEMA_VERSION,
-        "technology": {"lambda": s.technology.lam, "k": s.technology.k, "g": s.technology.g},
-        "ces": {"A": s.ces.A, "alpha": s.ces.alpha, "beta": s.ces.beta, "sigma": s.ces.sigma},
-        "compute_supply": _curve_doc(s.compute_supply),
-        "compute_demand": _curve_doc(s.compute_demand_exogenous),
-        "labor_demand_ts": _curve_doc(s.labor_demand_ts),
-        "labor_supply_ts": _curve_doc(s.labor_supply_ts),
-        "policy": {"tau_c": s.policy.tau_c, "mu": s.policy.mu},
-        "output_price": s.output_price,
-    }
+    doc: dict[str, Any] = {"caw_schema": SCHEMA_VERSION}
+    for section in SECTIONS:
+        part = getattr(s, section.attr)
+        if part is not None and section.kind is not float:
+            part = {f.key: getattr(part, f.attr) for f in section.fields}
+        doc[section.key] = part
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -35,7 +35,7 @@ from typing import Sequence
 from . import constants
 from .ces import _branch, _cd_exponents, relative_wage
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import SWEEP_FIELDS, clear_market, solve_batch
+from .markets import SWEEPABLE_PARAMS, clear_market, solve_batch  # SWEEPABLE_PARAMS is re-exported
 from .model import (
     CesParams,
     CurveKind,
@@ -306,11 +306,6 @@ def wage_bill_response(
         return WageBillState(wage=ceiling, employment=employment, bill=ceiling * employment)
 
     return WageBillResponse(before=state(ceiling_before), after=state(ceiling_after))
-
-
-# The scenario fields the capped and coupled solvers read, as dotted public
-# names for sweep().
-SWEEPABLE_PARAMS: tuple[str, ...] = tuple(SWEEP_FIELDS)
 
 
 # The largest float exponent whose power of ten is finite: log10 of an endpoint

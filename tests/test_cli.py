@@ -11,6 +11,7 @@ from caw import SWEEPABLE_PARAMS, CesParams, emit_scenario
 
 
 BASELINE = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv):
@@ -370,6 +371,27 @@ def test_bound_policy_flags_follow_scenario_rules():
     assert err == "error: tau_c must be >= 0; mu must be >= 1\n"
 
 
+def test_bound_flags_report_every_broken_scenario_rule_at_once():
+    code, out, err = run(["bound", "--lambda", "-1", "--k", "0", "--rc", "1", "--tau", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: lambda must be > 0; k must be > 0; tau_c must be >= 0\n"
+
+
+def test_ces_flags_use_the_scenario_file_wording():
+    code, out, err = run(["ces", "--alpha", "0.5", "--beta", "0.5", "--sigma", "0", "--wh", "1", "--wa", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: sigma must be > 0\n"
+
+
+# An overflowing lambda*k makes the ceiling inf at a positive rate and nan at
+# a zero one; both used to print with exit 0.
+@pytest.mark.parametrize("rc", ["1", "0"])
+def test_bound_ceiling_beyond_float_range_exits_three(rc):
+    code, out, err = run(["bound", "--lambda", "1e200", "--k", "1e200", "--rc", rc])
+    assert code == 3 and out == ""
+    assert err == "error: wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range\n"
+
+
 @pytest.mark.parametrize(
     "param", ["technology.g", "ces.A", "ces.alpha", "ces.beta", "ces.sigma", "output_price"]
 )
@@ -415,6 +437,27 @@ def test_sweep_values_breaking_a_scenario_rule_are_error_rows(param, start, stop
     assert [r["error"] for r in records[:broken]] == [message] * broken
     for record in records[broken:]:
         assert record["error"] == "" and record["regime"]
+
+
+def test_zero_ceiling_reports_the_rate_the_compute_market_set(tmp_path):
+    # lambda = 5e-324 underflows the ceiling to 0 at the clearing rate 0.5
+    # (compute demand 0.25 against supply 1, both unit-elastic); inelastic
+    # labor demand keeps the corner solvable.
+    doc = json.loads((GOLDEN / "zero_ceiling.json").read_text(encoding="utf-8"))
+    doc["labor_demand_ts"]["elasticity"] = 0.0
+    path = tmp_path / "zero_ceiling.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(["sweep", "--scenario", str(path), "--param", "technology.lambda",
+                          "--from", "5e-324", "--to", "5e-324", "--steps", "1"])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    record = dict(zip(headers, rows[0]))
+    assert (record["ceiling"], record["r_c_star"], record["error"]) == ("0.0", "0.5", "")
+    for mode in ("capped", "coupled"):
+        code, out, err = run(["shares", "--scenario", str(path), "--mode", mode])
+        assert code == 0, err
+        headers, rows = data_rows(out)
+        assert float(dict(zip(headers, rows[0]))["s_compute"]) == 1.0
 
 
 def test_exit_three_on_no_equilibrium(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,7 +17,19 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
+from caw.model import SECTIONS, Scenario
 from conftest import make_scenario
+
+
+def test_schema_table_places_every_scenario_field():
+    assert [section.attr for section in SECTIONS] == [f.name for f in dataclasses.fields(Scenario)]
+    for section in SECTIONS:
+        if section.kind is float:
+            continue
+        cls = IsoElasticCurve if isinstance(section.kind, CurveKind) else section.kind
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert [names[f.position] for f in section.fields] == [f.attr for f in section.fields]
+        assert set(names) - {f.attr for f in section.fields} <= {"kind"}
 
 
 def test_valid_scenario_has_no_violations():

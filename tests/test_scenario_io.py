@@ -91,6 +91,34 @@ def test_null_compute_demand_parses_to_none():
     assert s.compute_demand_exogenous is None
 
 
+# The defaults README's "Scenario files" documents, written out.
+DOCUMENTED_DEFAULTS = {
+    "ces": {"A": 1.0, "alpha": 0.5, "beta": 0.5, "sigma": 2.0},
+    "compute_supply": {"scale": 1.0, "elasticity": 1.0},
+    "compute_demand": {"scale": 4.0, "elasticity": 1.0},
+    "labor_demand_ts": {"scale": 10.0, "elasticity": 1.0},
+    "labor_supply_ts": {"scale": 1.0, "elasticity": 1.0},
+    "policy": {"tau_c": 0.0, "mu": 1.0},
+    "output_price": 1.0,
+}
+
+
+@pytest.mark.parametrize("section", sorted(DOCUMENTED_DEFAULTS))
+def test_omitted_section_parses_as_its_documented_defaults(section):
+    written = json.loads(MINIMAL)
+    written[section] = DOCUMENTED_DEFAULTS[section]
+    assert parse_scenario(MINIMAL) == parse_scenario(json.dumps(written))
+
+
+@pytest.mark.parametrize("curve", ["compute_supply", "compute_demand", "labor_demand_ts", "labor_supply_ts"])
+def test_written_curve_must_give_both_keys(curve):
+    doc = json.loads(MINIMAL)
+    doc[curve] = {"scale": 1.0}
+    with pytest.raises(ParseError) as excinfo:
+        parse_scenario(json.dumps(doc))
+    assert str(excinfo.value) == f"{curve}.elasticity: expected a number, got None"
+
+
 def test_round_trip_of_explicit_scenario():
     s = make_scenario(lam=1.5, k=0.05, g=0.3, tau_c=0.1, mu=1.2, output_price=2.0)
     assert parse_scenario(emit_scenario(s)) == s
