@@ -53,10 +53,14 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
 
     A compute tax and a compute-market markup both scale the ceiling
     proportionally, so they compose multiplicatively and order is irrelevant.
+    At a zero rental rate the ceiling is exactly zero, even where the product
+    of the other factors overflows.
     """
     _require_valid_technology(tech)
     if r_c < 0.0:
         raise InvalidInput(f"rental rate must be nonnegative, got {r_c!r}")
+    if r_c == 0.0:
+        return r_c
     if policy is None:
         policy = PolicyLevers()
     return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu * r_c

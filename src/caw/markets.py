@@ -10,15 +10,21 @@ compute use plus any exogenous compute demand.
 Every solve runs on one kernel, :func:`solve_batch`: a single scenario in
 either mode is a batch of one, and a one-parameter sweep computes the stages
 its parameter does not touch once for the whole grid. A capped row takes
-the compute-market price, a coupled row searches for its fixed-point rate,
-and both place the labor market against the ceiling with the same
+the compute-market price, a coupled row finds its fixed-point rate, and
+both place the labor market against the ceiling with the same
 arithmetic.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
-log price over the initial bracket [1e-9, 1e9], expanded geometrically a
-bounded number of times, which is scale-free and robust for iso-elastic
-curves. Solvers allocate no global state; independent scenarios may be
-solved concurrently.
+log price, by default over the initial bracket [1e-9, 1e9] expanded
+geometrically a bounded number of times, which is scale-free and robust for
+iso-elastic curves. The coupled fixed point knows more. Above the rental
+rate r_b at which the ceiling meets the uncapped clearing wage, agents are
+unused, so where the exogenous compute price r0 lies above r_b it is the
+fixed point and no search runs; otherwise the search starts from the known
+bracket [r0, r_b] (or a floor below r_b without exogenous demand), and
+the compute price r0, like a capped row's, is computed once per sweep unless
+a compute curve is swept. Solvers allocate no global state; independent
+scenarios may be solved concurrently.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .model import (
     field_violation,
     validate_scenario,
 )
-from .roots import find_root
+from .roots import DEFAULT_BRACKET, REACHABLE, find_root
 
 
 @dataclass(frozen=True)
@@ -236,6 +242,10 @@ def _place_at_ceiling(
     )
 
 
+# Rental rates whose log lies in the range a default root search can reach.
+_LOWEST_RATE, _HIGHEST_RATE = math.exp(REACHABLE[0]), math.exp(REACHABLE[1])
+
+
 def _coupled_rate(
     tech: Technology,
     policy: PolicyLevers,
@@ -244,18 +254,49 @@ def _coupled_rate(
     supply: IsoElasticCurve,
     demand: IsoElasticCurve,
     w_clear: float | CawError,
+    r0: float | CawError | None,
 ) -> float:
     """The rental rate at which compute supplied equals agent use k * l_a
-    plus exogenous demand, by a bracketed Brent search on log rental rate.
+    plus exogenous demand.
+
+    ``r0`` is the compute price on exogenous demand alone; None, or the
+    error computing it raised, means there is none (no exogenous demand, or
+    no price clears it). Where the ceiling at ``r0`` is slack, agents are
+    unused and ``r0`` is the fixed point: no search runs. Otherwise the
+    ceiling binds below ``r_b = w_clear / (lam * k * (1 + tau_c) * mu)`` and
+    is slack above it, so the excess is >= 0 at ``r0`` and <= 0 at ``r_b``,
+    and Brent's method on log rental rate starts from [log r0, log r_b] or,
+    without ``r0`` or with one beyond the reach of a default search
+    (:data:`caw.roots.REACHABLE`), from [min(log BRACKET_LO, log r_b - 1),
+    log r_b]. An ``r_b`` beyond that reach keeps the default bracket.
 
     Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
     read without building a result; a clearing error raises first.
     """
     if isinstance(w_clear, CawError):
         raise w_clear.with_traceback(None)
+    # caw_ceiling's product in the same order; the technology was validated on entry.
+    factor = tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu
+    if isinstance(r0, CawError):
+        r0 = None
+    if r0 is not None:
+        ceiling = factor * r0
+        if ceiling != 0.0 and w_clear <= ceiling:
+            return r0
+
+    bracket = DEFAULT_BRACKET
+    r_b = w_clear / factor if factor > 0.0 else 0.0
+    if _LOWEST_RATE <= r_b <= _HIGHEST_RATE:
+        hi = math.log(r_b)
+        while factor * math.exp(hi) < w_clear:  # round up to where the ceiling is slack
+            hi = math.nextafter(hi, math.inf)
+        if r0 is not None and r0 >= _LOWEST_RATE:
+            bracket = (min(math.log(r0), hi), hi)  # r0 and r_b can round past each other
+        else:
+            bracket = (min(DEFAULT_BRACKET[0], hi - 1.0), hi)
 
     def excess(r_c: float) -> float:
-        ceiling = caw_ceiling(tech, r_c, policy)
+        ceiling = factor * r_c
         if ceiling != 0.0 and w_clear <= ceiling:
             derived = 0.0
         else:
@@ -263,7 +304,8 @@ def _coupled_rate(
         exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
         return derived + exogenous - compute_supply.quantity(r_c)
 
-    return find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale).root
+    abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
+    return find_root(excess, abs_tol=abs_tol, bracket=bracket).root
 
 
 def _attempt(fn, *args):
@@ -319,8 +361,11 @@ def solve_batch(
         attr, make = _swept_holder(s, param)
         at = _PARTS.index(attr)
 
+    # The compute price on exogenous demand: a capped row's rate, and a
+    # coupled row's closed form where the ceiling is slack.
     rate = r_c_star
-    if rate is None and not coupled and attr not in _COMPUTE_PARTS:
+    compute_swept = attr in _COMPUTE_PARTS
+    if rate is None and not compute_swept:
         rate = _attempt(_rental_rate, s.compute_supply, s.compute_demand_exogenous)
     labor_swept = attr in _LABOR_PARTS
     w_clear = None if labor_swept else _attempt(_clearing_price, s.labor_supply_ts, s.labor_demand_ts)
@@ -333,14 +378,17 @@ def solve_batch(
                 rows.append(ValidationError([violation]))
                 continue
             parts[at] = make(value)
-        if isinstance(rate, CawError):
+        if isinstance(rate, CawError) and not coupled:
             rows.append(rate)
             continue
         tech, compute_supply, compute_demand, demand, supply, policy = parts
         clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
             if coupled:
-                r_c = _coupled_rate(tech, policy, compute_supply, compute_demand, supply, demand, clear)
+                r0 = rate
+                if compute_swept and compute_demand is not None:
+                    r0 = _attempt(_rental_rate, compute_supply, compute_demand)
+                r_c = _coupled_rate(tech, policy, compute_supply, compute_demand, supply, demand, clear, r0)
             elif rate is None:
                 r_c = _rental_rate(compute_supply, compute_demand)
             else:

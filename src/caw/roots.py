@@ -1,14 +1,20 @@
 """The bracketed root finder on log price shared by every solver: market
 clearing, the coupled fixed point and the comparative statics wage search.
 
-Every search starts from the log-price bracket [log BRACKET_LO,
-log BRACKET_HI] and widens it geometrically, by its own initial width on
-each side, up to BRACKET_EXPANSIONS times until the function changes sign.
-:func:`find_root` then runs Brent's method (inverse-quadratic and secant
-steps, falling back to bisection whenever an interpolated step would not
-shrink the bracket fast enough), which keeps bisection's guarantee while
-converging superlinearly on the smooth excess functions of iso-elastic
-markets. An infinite function value forces a bisection step; NaN aborts.
+A search starts from a log-price bracket and, while the function has the
+same sign at both ends, widens it by the default bracket's width on each
+side, up to BRACKET_EXPANSIONS times. The default bracket is
+[log BRACKET_LO, log BRACKET_HI]; a caller that knows a tighter one passes
+it as ``bracket=``. However narrow a known bracket is, each widening is the
+full default width: one that misses the root by a rounding error finds it
+in one widening, and one near :data:`REACHABLE`, the log prices a default
+search can reach, keeps every evaluated price within e**-300 to e**300,
+far inside the floating-point range. :func:`find_root` then runs Brent's
+method (inverse-quadratic and secant steps, falling back to bisection
+whenever an interpolated step would not shrink the bracket fast enough),
+which keeps bisection's guarantee while converging superlinearly on the
+smooth excess functions of iso-elastic markets. An infinite function value
+forces a bisection step; NaN aborts.
 
 Working in log price makes the search scale-free: the bracket width is a
 relative price width, so PRICE_REL_TOL applies to it directly.
@@ -29,6 +35,15 @@ from .errors import NoConvergence, NoEquilibrium
 _COLLAPSED_WIDTH = 4e-16
 _EPS = sys.float_info.epsilon
 
+# The default log-price bracket, its width, and the log prices a default
+# search can reach after every widening.
+DEFAULT_BRACKET = (math.log(constants.BRACKET_LO), math.log(constants.BRACKET_HI))
+_DEFAULT_WIDTH = DEFAULT_BRACKET[1] - DEFAULT_BRACKET[0]
+REACHABLE = (
+    DEFAULT_BRACKET[0] - constants.BRACKET_EXPANSIONS * _DEFAULT_WIDTH,
+    DEFAULT_BRACKET[1] + constants.BRACKET_EXPANSIONS * _DEFAULT_WIDTH,
+)
+
 
 class RootReport(NamedTuple):
     """A root on the price axis with the work spent finding it.
@@ -45,22 +60,21 @@ class RootReport(NamedTuple):
 
 
 def _expand_bracket(
-    f: Callable[[float], float],
+    f: Callable[[float], float], bracket: tuple[float, float]
 ) -> tuple[float, float, float, float, int]:
-    """Widen the initial log-price bracket until ``f`` changes sign at its ends.
+    """Widen the log-price ``bracket`` until ``f`` changes sign at its ends,
+    by the default bracket's width on each side.
 
     Returns ``(lo, hi, f(lo), f(hi), expansions)``. Gives up after
     BRACKET_EXPANSIONS widenings and returns the last bracket either way;
     callers decide what a missing sign change means.
     """
-    lo = math.log(constants.BRACKET_LO)
-    hi = math.log(constants.BRACKET_HI)
+    lo, hi = bracket
     f_lo, f_hi = f(lo), f(hi)
     expansions = 0
-    width = hi - lo
     while f_lo * f_hi > 0.0 and expansions < constants.BRACKET_EXPANSIONS:
-        lo -= width
-        hi += width
+        lo -= _DEFAULT_WIDTH
+        hi += _DEFAULT_WIDTH
         f_lo, f_hi = f(lo), f(hi)
         expansions += 1
     return lo, hi, f_lo, f_hi, expansions
@@ -72,11 +86,14 @@ def find_root(
     abs_tol: float,
     rel_tol: float = constants.PRICE_REL_TOL,
     max_iter: int = constants.MAX_ITER,
+    bracket: tuple[float, float] = DEFAULT_BRACKET,
 ) -> RootReport:
     """Price where the monotone function ``excess`` crosses zero.
 
-    Converged when the log-price bracket is at most ``rel_tol`` wide and
-    ``|excess| <= abs_tol`` at the best point, or when the bracket has
+    The search starts from the log-price ``bracket`` ``(lo, hi)``,
+    ``lo <= hi``, and widens it while ``excess`` has the same sign at both
+    ends. Converged when the log-price bracket is at most ``rel_tol`` wide
+    and ``|excess| <= abs_tol`` at the best point, or when the bracket has
     collapsed to float resolution. Raises NoEquilibrium when no sign change
     is found on the widest bracket, NoConvergence on a NaN value or after
     ``max_iter`` steps.
@@ -93,7 +110,7 @@ def find_root(
             )
         return value
 
-    lo, hi, f_lo, f_hi, expansions = _expand_bracket(f)
+    lo, hi, f_lo, f_hi, expansions = _expand_bracket(f, bracket)
     if f_lo == 0.0:
         return RootReport(math.exp(lo), 0, evaluations, expansions, 0.0)
     if f_hi == 0.0:

@@ -37,7 +37,10 @@ def _as_number(value: Any, where: str) -> float:
     # bool is an int subclass; reject it explicitly.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: number lies outside the floating-point range") from None
 
 
 def _part(doc: Mapping[str, Any], section: Section):
@@ -77,6 +80,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # an integer literal longer than int() reads (sys.get_int_max_str_digits())
+        raise ParseError("invalid JSON: an integer literal has too many digits") from None
     if not isinstance(doc, dict):
         raise ParseError(f"scenario document must be a JSON object, got {type(doc).__name__}")
 

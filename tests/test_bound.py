@@ -137,3 +137,11 @@ def test_classify_regime_band_is_inclusive():
 def test_classify_regime_requires_positive_tolerance():
     with pytest.raises(InvalidInput):
         classify_regime(1.0, 2.0, 0.0)
+
+
+def test_ceiling_at_a_zero_rate_is_zero_even_where_the_factor_overflows():
+    # lam * k overflows to inf, and inf * 0 would be nan.
+    tech = Technology(lam=1e200, k=1e200)
+    assert caw_ceiling(tech, 0.0) == 0.0
+    assert math.copysign(1.0, caw_ceiling(tech, -0.0)) == -1.0
+    assert caw_ceiling(tech, 1.0) == math.inf

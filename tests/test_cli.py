@@ -383,13 +383,30 @@ def test_ces_flags_use_the_scenario_file_wording():
     assert err == "error: sigma must be > 0\n"
 
 
-# An overflowing lambda*k makes the ceiling inf at a positive rate and nan at
-# a zero one; both used to print with exit 0.
+# An overflowing lambda*k makes the ceiling inf at a positive rate, which
+# used to print with exit 0; at a zero rate the ceiling is exactly 0.
 @pytest.mark.parametrize("rc", ["1", "0"])
 def test_bound_ceiling_beyond_float_range_exits_three(rc):
     code, out, err = run(["bound", "--lambda", "1e200", "--k", "1e200", "--rc", rc])
+    if rc == "0":
+        assert code == 0 and err == ""
+        headers, rows = data_rows(out)
+        assert [dict(zip(headers, row))["ceiling"] for row in rows] == ["0.0"]
+        return
     assert code == 3 and out == ""
     assert err == "error: wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range\n"
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_literal_beyond_float_range_exits_two(tmp_path, digits):
+    # 10**400 overflows float(); a 5000-digit literal is longer than int() reads.
+    text = emit_scenario(make_scenario()).replace('"k": 1.0', '"k": 1' + "0" * digits, 1)
+    assert "0" * digits in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["solve", "--scenario", str(path)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
+import contextlib
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caw import (
@@ -13,8 +14,10 @@ from caw import (
     NoEquilibrium,
     Regime,
     ValidationError,
+    caw_ceiling,
     clear_market,
     demand_curve,
+    grid,
     solve_capped_labor_market,
     solve_compute_market,
     solve_coupled,
@@ -23,6 +26,7 @@ from caw import (
     sweep,
 )
 from caw import markets
+from caw.roots import REACHABLE
 from conftest import make_scenario, rel_err, with_field
 
 
@@ -312,7 +316,8 @@ def test_solve_scenario_modes(baseline_scenario):
 # --- coupled solve work and the hoisted excess --------------------------------------
 
 
-def _capture_find_root(monkeypatch):
+@contextlib.contextmanager
+def _find_root_calls():
     """Record every (excess, report) pair passed through markets.find_root."""
     calls = []
     real = markets.find_root
@@ -322,15 +327,18 @@ def _capture_find_root(monkeypatch):
         calls.append((excess, report))
         return report
 
-    monkeypatch.setattr(markets, "find_root", spy)
-    return calls
+    markets.find_root = spy
+    try:
+        yield calls
+    finally:
+        markets.find_root = real
 
 
-def test_baseline_coupled_solve_evaluation_budget(monkeypatch, baseline_scenario):
-    calls = _capture_find_root(monkeypatch)
-    res = solve_coupled(baseline_scenario)
+def test_baseline_coupled_solve_evaluation_budget(baseline_scenario):
+    with _find_root_calls() as calls:
+        res = solve_coupled(baseline_scenario)
     [(_excess, report)] = calls
-    assert report.evaluations <= 24
+    assert report.evaluations <= 8
     assert report.root == res.r_c_star
 
 
@@ -342,14 +350,22 @@ def test_baseline_coupled_solve_evaluation_budget(monkeypatch, baseline_scenario
         make_scenario(labor_demand=(7.0, 0.4), labor_supply=(2.0, 1.7)),
     ],
 )
-def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(monkeypatch, scenario):
-    calls = _capture_find_root(monkeypatch)
-    solve_coupled(scenario)
-    [(excess, _report)] = calls
+def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(scenario):
+    with _find_root_calls() as calls:
+        res = solve_coupled(scenario)
     w_clear = clear_market(scenario.labor_supply_ts, scenario.labor_demand_ts).price
+    tech, policy = scenario.technology, scenario.policy
+    if scenario.compute_demand_exogenous is not None:
+        r0 = solve_compute_market(scenario).price
+        if caw_ceiling(tech, r0, policy) >= w_clear:
+            # Slack ceiling at the exogenous compute price (scenario2): agents
+            # are unused, the row is the capped solve there, and nothing searched.
+            assert calls == [] and res.l_a_star == 0.0
+            assert repr(res) == repr(solve_capped_labor_market(scenario, r0))
+            return
+    [(excess, _report)] = calls
     # Rental rates whose ceiling crosses the clearing wage, including the
     # floats right next to the crossing.
-    tech, policy = scenario.technology, scenario.policy
     r_cross = w_clear / (tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu)
     grid = [r_cross * math.exp(0.01 * i) for i in range(-40, 41)]
     near = r_cross
@@ -456,3 +472,124 @@ def test_library_solves_validate_their_scenario(scenario, message):
             solve_scenario(scenario, mode)
     with pytest.raises(ValidationError, match=message):
         solve_capped_labor_market(scenario, 2.0)
+
+
+# --- the coupled fixed point's closed form and known bracket ----------------------
+
+
+def test_coupled_rate_on_an_inelastic_compute_market_is_the_lowest_that_clears():
+    # Exogenous demand alone exactly meets inelastic supply, so every rate
+    # whose ceiling is slack clears; the solve reports the lowest of them,
+    # r_b, where the ceiling meets the clearing wage (it used to report where
+    # the search bracket happened to end, about 1e9).
+    s = make_scenario(compute_supply=(3.0, 0.0), compute_demand=(3.0, 0.0))
+    w_clear = clear_market(s.labor_supply_ts, s.labor_demand_ts).price
+    lams = grid(0.1, 3.0, 60)
+    for lam, row in zip(lams, markets.solve_batch(s, "technology.lambda", lams, mode="coupled")):
+        r_b = w_clear / lam
+        assert row.regime is Regime.MIXED and row.l_a_star == 0.0
+        assert row.ceiling >= w_clear and rel_err(row.r_c_star, r_b) < 1e-15
+    assert solve_coupled(s).r_c_star == w_clear
+
+
+def test_coupled_solve_with_r_b_beyond_the_reach_of_a_search():
+    # r_b = w_clear / (lam * k) is about 1e300 and the excess is negative
+    # below it: a bracket ending at r_b would widen past the float range
+    # (OverflowError), the default one finds no sign change.
+    s = make_scenario(lam=1e-150, k=1e-150, compute_demand=None, labor_demand=(10.0, 0.0))
+    with pytest.raises(NoEquilibrium, match="no sign change"):
+        solve_coupled(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lam=_positive,
+    k=_positive,
+    compute=st.tuples(_positive, _elasticity),
+    exogenous=st.one_of(st.none(), st.tuples(_positive, _elasticity)),
+    labor=st.tuples(_positive, _elasticity, _positive, _elasticity),
+    tau_c=st.floats(min_value=0.0, max_value=2.0),
+    mu=st.floats(min_value=1.0, max_value=3.0),
+)
+def test_coupled_solve_takes_the_closed_form_exactly_where_the_ceiling_is_slack(
+    lam, k, compute, exogenous, labor, tau_c, mu
+):
+    ld, ld_e, ls, ls_e = labor
+    s = make_scenario(lam=lam, k=k, compute_supply=compute, compute_demand=exogenous,
+                      labor_demand=(ld, ld_e), labor_supply=(ls, ls_e), tau_c=tau_c, mu=mu)
+    with _find_root_calls() as calls:
+        try:
+            res = solve_coupled(s)
+        except CawError:  # anything else fails the test
+            return
+    w_clear = clear_market(s.labor_supply_ts, s.labor_demand_ts).price
+    try:
+        r0 = solve_compute_market(s).price
+    except CawError:  # no exogenous demand, or no price clears it
+        r0 = None
+    if r0 is not None and caw_ceiling(s.technology, r0, s.policy) >= w_clear:
+        # Agents are unused at the exogenous price: the row is the capped
+        # solve there, bit for bit, and nothing searched.
+        assert calls == []
+        assert repr(res) == repr(solve_capped_labor_market(s, r0))
+    else:
+        # Most searches take 5 to 10 evaluations; no per-row budget is
+        # asserted because Brent's method keeps bisecting to float resolution
+        # wherever the excess tolerance (1e-9 of the supply scale) lies below
+        # the rounding of the quantities at the root, which can cost 40 or more.
+        [(_excess, report)] = calls
+        assert report.root == res.r_c_star
+
+
+def test_coupled_sweeps_of_the_baseline_take_few_evaluations(baseline_scenario):
+    # 6 sweeps of 200 points: without the closed form and the known bracket
+    # these took about 19 evaluations a row.
+    ranges = {"technology.lambda": (0.1, 10.0), "technology.k": (0.02, 10.0),
+              "compute_supply.scale": (0.2, 5.0), "compute_demand.scale": (0.5, 20.0),
+              "labor_demand_ts.scale": (1.0, 50.0), "policy.tau_c": (0.01, 1.0)}
+    with _find_root_calls() as calls:
+        for param, (start, stop) in ranges.items():
+            rows = markets.solve_batch(baseline_scenario, param, grid(start, stop, 200, log=True),
+                                       mode="coupled")
+            assert not any(isinstance(row, CawError) for row in rows)
+    evaluations = [report.evaluations for _excess, report in calls]
+    assert sum(evaluations) / (200 * len(ranges)) <= 6.0
+    assert max(evaluations) <= 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=_positive,
+    k=_positive,
+    labor=st.tuples(_positive, st.floats(min_value=0.05, max_value=5.0), _positive, _elasticity),
+    supply=st.tuples(_positive, _elasticity),
+    demand_elasticity=st.floats(min_value=0.05, max_value=3.0),
+    ulps=st.integers(min_value=-4, max_value=4),
+)
+def test_coupled_solve_with_the_exogenous_price_next_to_r_b(lam, k, labor, supply, demand_elasticity, ulps):
+    # Exogenous demand that alone clears compute within a few ulps of r_b,
+    # where rounding can put both ends of the known bracket on one side:
+    # the solve still finds the fixed point, which lies between the two.
+    ld, ld_e, ls, ls_e = labor
+    s = make_scenario(lam=lam, k=k, labor_demand=(ld, ld_e), labor_supply=(ls, ls_e))
+    r_b = clear_market(s.labor_supply_ts, s.labor_demand_ts).price / (lam * k)
+    target = r_b
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.inf if ulps > 0 else 0.0)
+    try:
+        scale = supply[0] * target ** (supply[1] + demand_elasticity)
+    except OverflowError:
+        scale = math.inf
+    assume(0.0 < scale < math.inf)
+    s = make_scenario(lam=lam, k=k, labor_demand=(ld, ld_e), labor_supply=(ls, ls_e),
+                      compute_supply=supply, compute_demand=(scale, demand_elasticity))
+    r0 = solve_compute_market(s).price
+    assume(abs(r0 - r_b) <= 8 * math.ulp(r_b))
+    try:
+        res = solve_coupled(s)
+    except NoEquilibrium:
+        # A binding rate beyond the reach of every search (about 1e63 here)
+        # stays unsolved, as it was with the default bracket alone.
+        assert not REACHABLE[0] <= math.log(r_b) <= REACHABLE[1]
+        return
+    assert rel_err(res.r_c_star, r_b) <= 1e-9

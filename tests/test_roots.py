@@ -106,6 +106,24 @@ def test_bracket_expands_geometrically():
     assert rel_err(report.root, 1e13) <= constants.PRICE_REL_TOL
 
 
+def test_known_bracket_missing_the_root_widens_by_the_default_width():
+    # Both ends of the given bracket lie a rounding error above the root;
+    # one widening by the default bracket's width, not the given one's,
+    # brackets it.
+    logs = []
+
+    def excess(p):
+        logs.append(math.log(p))
+        return 3.0 - p
+
+    x = math.log(3.0) + 1e-15
+    report = find_root(excess, abs_tol=1e-12, bracket=(x, x))
+    initial = math.log(constants.BRACKET_HI) - math.log(constants.BRACKET_LO)
+    assert logs[2] == pytest.approx(x - initial) and logs[3] == pytest.approx(x + initial)
+    assert report.expansions == 1
+    assert rel_err(report.root, 3.0) <= constants.PRICE_REL_TOL
+
+
 @pytest.mark.parametrize(
     "excess",
     [
