@@ -30,6 +30,7 @@ scenarios may be solved concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -254,14 +255,14 @@ def _coupled_rate(
     supply: IsoElasticCurve,
     demand: IsoElasticCurve,
     w_clear: float | CawError,
-    r0: float | CawError | None,
+    r0: float | CawError,
 ) -> float:
     """The rental rate at which compute supplied equals agent use k * l_a
     plus exogenous demand.
 
-    ``r0`` is the compute price on exogenous demand alone; None, or the
-    error computing it raised, means there is none (no exogenous demand, or
-    no price clears it). Where the ceiling at ``r0`` is slack, agents are
+    ``r0`` is the compute price on exogenous demand alone, or the error
+    computing it raised when there is none (no exogenous demand, or no price
+    clears it). Where the ceiling at ``r0`` is slack, agents are
     unused and ``r0`` is the fixed point: no search runs. Otherwise the
     ceiling binds below ``r_b = w_clear / (lam * k * (1 + tau_c) * mu)`` and
     is slack above it, so the excess is >= 0 at ``r0`` and <= 0 at ``r_b``,
@@ -277,8 +278,7 @@ def _coupled_rate(
         raise w_clear.with_traceback(None)
     # caw_ceiling's product in the same order; the technology was validated on entry.
     factor = tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu
-    if isinstance(r0, CawError):
-        r0 = None
+    r0 = None if isinstance(r0, CawError) else r0
     if r0 is not None:
         ceiling = factor * r0
         if ceiling != 0.0 and w_clear <= ceiling:
@@ -288,8 +288,11 @@ def _coupled_rate(
     r_b = w_clear / factor if factor > 0.0 else 0.0
     if _LOWEST_RATE <= r_b <= _HIGHEST_RATE:
         hi = math.log(r_b)
-        while factor * math.exp(hi) < w_clear:  # round up to where the ceiling is slack
-            hi = math.nextafter(hi, math.inf)
+        # Round up to where the ceiling is slack. A step of at least epsilon
+        # moves exp(hi) by about one float spacing even where log r_b is near
+        # 0 and its own spacing is far finer, so this ends within a step or two.
+        while factor * math.exp(hi) < w_clear:
+            hi += max(math.ulp(hi), sys.float_info.epsilon)
         if r0 is not None and r0 >= _LOWEST_RATE:
             bracket = (min(math.log(r0), hi), hi)  # r0 and r_b can round past each other
         else:
@@ -362,7 +365,8 @@ def solve_batch(
         at = _PARTS.index(attr)
 
     # The compute price on exogenous demand: a capped row's rate, and a
-    # coupled row's closed form where the ceiling is slack.
+    # coupled row's closed form where the ceiling is slack. Left None when a
+    # compute curve is swept, for each row to compute its own.
     rate = r_c_star
     compute_swept = attr in _COMPUTE_PARTS
     if rate is None and not compute_swept:
@@ -378,21 +382,16 @@ def solve_batch(
                 rows.append(ValidationError([violation]))
                 continue
             parts[at] = make(value)
-        if isinstance(rate, CawError) and not coupled:
-            rows.append(rate)
-            continue
         tech, compute_supply, compute_demand, demand, supply, policy = parts
+        r0 = _attempt(_rental_rate, compute_supply, compute_demand) if rate is None else rate
+        if isinstance(r0, CawError) and not coupled:
+            rows.append(r0)
+            continue
         clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
+            r_c = r0
             if coupled:
-                r0 = rate
-                if compute_swept and compute_demand is not None:
-                    r0 = _attempt(_rental_rate, compute_supply, compute_demand)
                 r_c = _coupled_rate(tech, policy, compute_supply, compute_demand, supply, demand, clear, r0)
-            elif rate is None:
-                r_c = _rental_rate(compute_supply, compute_demand)
-            else:
-                r_c = rate
             rows.append(_place_at_ceiling(tech, policy, r_c, supply, demand, clear))
         except CawError as exc:  # per-row failures are data, not aborts
             rows.append(exc)

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,31 @@ def test_solve_coupled(tmp_path):
     headers, rows = data_rows(out)
     row = dict(zip(headers, rows[0]))
     assert float(row["r_c_star"]) > 2.0
+
+
+@pytest.mark.parametrize("demand", [1.4000000000000004, math.nextafter(1.4, 0.0)])
+def test_solve_coupled_with_r_b_next_to_one_ends(tmp_path, demand):
+    # Inelastic labor demand puts the clearing wage at `demand`, so
+    # r_b = demand / 1.4 is 1 + 2**-52 or just below 1. At 1 + 2**-52,
+    # 1.4 * exp(log r_b) rounds below the wage and the top of the known
+    # bracket is rounded up from a log rate near 0, whose own float spacing
+    # is about 1e-32: stepping by that spacing took some 2**51 steps. A fresh
+    # interpreter with a time limit turns such a hang into a failure.
+    s = make_scenario(lam=1.4, compute_demand=None, labor_demand=(demand, 0.0))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "caw", "solve", "--scenario", write_scenario(tmp_path, s),
+         "--mode", "coupled"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    headers, rows = data_rows(proc.stdout)
+    row = dict(zip(headers, rows[0]))
+    assert row["regime"] == "mixed"
+    assert 0.0 < float(row["r_c_star"]) < demand / 1.4
 
 
 def test_trajectory_halving(tmp_path):
