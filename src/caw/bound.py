@@ -11,14 +11,13 @@ costs differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput
 from .model import PolicyLevers, Regime, Technology
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Cost-minimizing bundle for a given amount of effective labor.
 
     ``tie`` is true when both corners cost the same and the default corner

@@ -10,7 +10,7 @@ currency per hour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput
 from .model import FactorShares, TaskProfile
@@ -20,8 +20,7 @@ CALIBRATION_LAMBDAS: tuple[float, ...] = (0.5, 1.0, 2.0)
 CALIBRATION_COLUMNS: tuple[tuple[float, float], ...] = ((0.05, 2.0), (1.0, 2.0), (1.0, 5.0))
 
 
-@dataclass(frozen=True)
-class CalibrationCell:
+class CalibrationCell(NamedTuple):
     """One ceiling in the reference grid; ceiling == lam * k * r_c exactly."""
 
     lam: float

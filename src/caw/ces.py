@@ -41,16 +41,15 @@ Zero inputs with rho < 0 are a zero-output limit, returned as an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import constants
-from .bound import linear_costmin
-from .errors import InvalidInput
+from .bound import Allocation, linear_costmin
+from .errors import InvalidInput, SolverError
 from .model import CesParams, Technology
 
 
-@dataclass(frozen=True)
-class DemandPair:
+class DemandPair(NamedTuple):
     """Cost-minimizing input bundle per unit of effective labor."""
 
     l_h: float
@@ -139,12 +138,52 @@ def _require_positive_prices(w_h: float, w_a: float) -> None:
         raise InvalidInput(f"factor prices must be finite and > 0, got ({w_h!r}, {w_a!r})")
 
 
-def _linear_equivalent(ces: CesParams, w_h: float, w_a: float):
-    # Perfect-substitute CES A*(alpha*l_h + beta*l_a) rescales to the unit
-    # isoquant l_h + l_a/lam >= 1/(A*alpha) with lam = alpha/beta.
-    tech = Technology(lam=ces.alpha / ces.beta, k=1.0, g=0.0)
-    units = 1.0 / (ces.A * ces.alpha)
-    return linear_costmin(w_h, tech, w_a, units)
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _in_range(value: float, log_value: float, what: str, zero: bool = False) -> float:
+    """``value``, or exp(log_value) where the float arithmetic that gave it
+    left the float range (0 or inf); SolverError where exp(log_value) is
+    inf, or 0 unless ``zero`` allows it."""
+    if not 0.0 < value < math.inf:
+        value = _exp(log_value)
+    if value == math.inf or (value == 0.0 and not zero):
+        raise SolverError(f"CES {what} lies outside the floating-point range")
+    return value
+
+
+def _log_quotient(x: float, y: float) -> float:
+    """log(x / y), also where the quotient underflows or overflows."""
+    q = x / y
+    return math.log(q) if 0.0 < q < math.inf else math.log(x) - math.log(y)
+
+
+def _demand(c: float, w: float, share: float, log_share: float) -> float:
+    """c * share / w, the demand for an input with that cost share (0 where it underflows)."""
+    return _in_range(c * share / w, math.log(c) + log_share - math.log(w), "demand", zero=True)
+
+
+def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
+    # Perfect-substitute CES A*(alpha*l_h + beta*l_a) makes a unit of exp(log_h) humans or exp(log_a)
+    # agents, and rescales to the unit isoquant l_h + l_a/lam >= 1/(A*alpha) with lam = alpha/beta.
+    log_h, log_a = -math.log(ces.A) - math.log(ces.alpha), -math.log(ces.A) - math.log(ces.beta)
+    humans = math.log(w_h) + log_h <= math.log(w_a) + log_a
+    scale, lam = ces.A * ces.alpha, ces.alpha / ces.beta
+    units = 1.0 / scale if scale > 0.0 else math.inf
+    if 0.0 < units < math.inf and 0.0 < lam < math.inf:
+        alloc = linear_costmin(w_h, Technology(lam=lam, k=1.0, g=0.0), w_a, units)
+        # Where lam * units overflows, the agent corner was priced at inf.
+        if 0.0 < alloc.cost < math.inf and (lam * units < math.inf or humans):
+            return alloc
+    # A step above left the float range: price the cheaper corner in logs.
+    log_l, log_w = (log_h, math.log(w_h)) if humans else (log_a, math.log(w_a))
+    labor = _in_range(_exp(log_l), log_l, "demand")
+    cost = _in_range(_exp(log_l + log_w), log_l + log_w, "unit cost")
+    return Allocation(labor, 0.0, cost) if humans else Allocation(0.0, labor, cost)
 
 
 def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
@@ -159,20 +198,14 @@ def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
         return (w_h + w_a) / ces.A
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
-        return math.exp(
-            a * (math.log(w_h) - math.log(a)) + b * (math.log(w_a) - math.log(b))
-        ) / ces.A
+        log_cost = a * (math.log(w_h) - math.log(a)) + b * (math.log(w_a) - math.log(b))
+        return _in_range(_exp(log_cost) / ces.A, log_cost - math.log(ces.A), "unit cost")
 
     # bracket = alpha*(w_h/alpha)**(1-sigma) + beta*(w_a/beta)**(1-sigma)
-    return math.exp(
-        _log_power_mean(
-            ces.alpha,
-            math.log(w_h / ces.alpha),
-            ces.beta,
-            math.log(w_a / ces.beta),
-            1.0 - ces.sigma,
-        )
-    ) / ces.A
+    log_cost = _log_power_mean(
+        ces.alpha, _log_quotient(w_h, ces.alpha), ces.beta, _log_quotient(w_a, ces.beta), 1.0 - ces.sigma
+    )
+    return _in_range(_exp(log_cost) / ces.A, log_cost - math.log(ces.A), "unit cost")
 
 
 def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
@@ -193,16 +226,16 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         c = unit_cost(ces, w_h, w_a)
-        return DemandPair(l_h=a * c / w_h, l_a=b * c / w_a)
+        return DemandPair(l_h=_demand(c, w_h, a, math.log(a)), l_a=_demand(c, w_a, b, math.log(b)))
 
     s = 1.0 - ces.sigma
-    t_h = math.log(ces.alpha) + s * math.log(w_h / ces.alpha)
-    t_a = math.log(ces.beta) + s * math.log(w_a / ces.beta)
+    t_h = math.log(ces.alpha) + s * _log_quotient(w_h, ces.alpha)
+    t_a = math.log(ces.beta) + s * _log_quotient(w_a, ces.beta)
     log_bracket = _logaddexp(t_h, t_a)
-    share_h = math.exp(t_h - log_bracket)
-    share_a = math.exp(t_a - log_bracket)
+    log_h, log_a = t_h - log_bracket, t_a - log_bracket
     c = unit_cost(ces, w_h, w_a)
-    return DemandPair(l_h=c * share_h / w_h, l_a=c * share_a / w_a)
+    l_h = _demand(c, w_h, math.exp(log_h), log_h)
+    return DemandPair(l_h=l_h, l_a=_demand(c, w_a, math.exp(log_a), log_a))
 
 
 def relative_wage(ces: CesParams, l_h: float, l_a: float) -> float:

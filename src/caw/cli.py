@@ -31,7 +31,7 @@ from .calibration import factor_shares, table1
 from .ces import conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
-from .model import CesParams, PolicyLevers, Scenario, Technology, field_violation
+from .model import CesParams, EquilibriumResult, PolicyLevers, Scenario, Technology, field_violation
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -41,35 +41,6 @@ from .scenario_io import (
     standard_metadata,
 )
 from .statics import SWEEPABLE_PARAMS, StaticsSetup, caw_trajectory, grid, semi_elasticity, sweep
-
-_RESULT_HEADERS = (
-    "regime",
-    "w_h_star",
-    "r_c_star",
-    "ceiling",
-    "l_h_star",
-    "l_a_star",
-    "k_c_star",
-    "ceiling_binds",
-    "labor_supply_at_wage",
-    "labor_demand_at_wage",
-)
-
-
-def _result_row(res) -> tuple:
-    return (
-        res.regime.value,
-        res.w_h_star,
-        res.r_c_star,
-        res.ceiling,
-        res.l_h_star,
-        res.l_a_star,
-        res.k_c_star,
-        res.ceiling_binds,
-        res.labor_supply_at_wage,
-        res.labor_demand_at_wage,
-    )
-
 
 def finite_float(text: str) -> float:
     """Argparse type for every float flag: a finite number, else exit 2."""
@@ -193,8 +164,7 @@ def _cmd_table1(args) -> OutputTable:
     rows = [
         (cell.lam, cell.k, cell.r_c, cell.ceiling) for band in table1() for cell in band
     ]
-    meta = standard_metadata(inputs_sha256({"command": "table1"}))
-    meta["command"] = "table1"
+    meta = standard_metadata(inputs_sha256({"command": "table1"}), command="table1")
     return OutputTable(headers=("lambda", "k", "r_c", "ceiling"), rows=tuple(rows), metadata=meta)
 
 
@@ -215,12 +185,8 @@ def _cmd_bound(args) -> OutputTable:
     ceiling = caw_ceiling(tech, args.rc, policy)
     if not math.isfinite(ceiling):
         raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
-    meta = standard_metadata(
-        inputs_sha256(
-            {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
-        )
-    )
-    meta["command"] = "bound"
+    inputs = {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
+    meta = standard_metadata(inputs_sha256(inputs), command="bound")
     return OutputTable(
         headers=("lambda", "k", "r_c", "tau_c", "mu", "ceiling"),
         rows=((args.lam, args.k, args.rc, args.tau, args.mu, ceiling),),
@@ -233,20 +199,8 @@ def _cmd_ces(args) -> OutputTable:
     ces = CesParams(A=args.A, alpha=args.alpha, beta=args.beta, sigma=args.sigma)
     cost = unit_cost(ces, args.wh, args.wa)
     pair = conditional_demands(ces, args.wh, args.wa)
-    meta = standard_metadata(
-        inputs_sha256(
-            {
-                "command": "ces",
-                "A": args.A,
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "sigma": args.sigma,
-                "wh": args.wh,
-                "wa": args.wa,
-            }
-        )
-    )
-    meta["command"] = "ces"
+    inputs = {"command": "ces", **ces._asdict(), "wh": args.wh, "wa": args.wa}
+    meta = standard_metadata(inputs_sha256(inputs), command="ces")
     return OutputTable(
         headers=("unit_cost", "l_h", "l_a"),
         rows=((cost, pair.l_h, pair.l_a),),
@@ -257,27 +211,21 @@ def _cmd_ces(args) -> OutputTable:
 def _cmd_solve(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     res = solve_scenario(s, args.mode)
-    meta = standard_metadata(scenario_sha256(s))
-    meta["command"] = "solve"
-    meta["mode"] = args.mode
-    return OutputTable(headers=_RESULT_HEADERS, rows=(_result_row(res),), metadata=meta)
+    meta = standard_metadata(scenario_sha256(s), command="solve", mode=args.mode)
+    return OutputTable(headers=EquilibriumResult._fields, rows=((res.regime.value, *res[1:]),), metadata=meta)
 
 
 def _cmd_sweep(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     values = grid(args.start, args.stop, args.steps, log=args.log)
-    rows = []
-    for row in sweep(s, args.param, values, solver=args.mode):
-        if row.result is not None:
-            rows.append((row.value, *_result_row(row.result), None))
-        else:
-            rows.append((row.value, *(None,) * len(_RESULT_HEADERS), row.error))
-    meta = standard_metadata(scenario_sha256(s))
-    meta["command"] = "sweep"
-    meta["mode"] = args.mode
-    meta["param"] = args.param
+    blank = (None,) * len(EquilibriumResult._fields)
+    rows = [
+        (value, res.regime.value, *res[1:], None) if res is not None else (value, *blank, error)
+        for value, res, error in sweep(s, args.param, values, solver=args.mode)
+    ]
+    meta = standard_metadata(scenario_sha256(s), command="sweep", mode=args.mode, param=args.param)
     return OutputTable(
-        headers=("value", *_RESULT_HEADERS, "error"), rows=tuple(rows), metadata=meta
+        headers=("value", *EquilibriumResult._fields, "error"), rows=tuple(rows), metadata=meta
     )
 
 
@@ -287,10 +235,8 @@ def _cmd_trajectory(args) -> OutputTable:
     if args.t_max < 0.0:
         raise InvalidInput("--t-max must be >= 0")
     r_c = _rental_rate(s, args.rc)
-    points = caw_trajectory(s.technology, r_c, times)
-    meta = standard_metadata(scenario_sha256(s))
-    meta["command"] = "trajectory"
-    meta["r_c"] = r_c
+    points = caw_trajectory(s.technology, r_c, times, s.policy)
+    meta = standard_metadata(scenario_sha256(s), command="trajectory", r_c=r_c)
     return OutputTable(headers=("t", "ceiling"), rows=tuple(points), metadata=meta)
 
 
@@ -304,9 +250,7 @@ def _cmd_statics(args) -> OutputTable:
         w_a_eff=s.technology.k * r_c,
     )
     se = semi_elasticity(setup, rel_step=args.rel_step)
-    meta = standard_metadata(scenario_sha256(s))
-    meta["command"] = "statics"
-    meta["r_c"] = r_c
+    meta = standard_metadata(scenario_sha256(s), command="statics", r_c=r_c)
     return OutputTable(
         headers=("w_h", "l_h", "l_a", "direct", "fd", "fd_forward", "fd_backward"),
         rows=(
@@ -321,9 +265,7 @@ def _cmd_shares(args) -> OutputTable:
     res = solve_scenario(s, args.mode)
     y = res.w_h_star * res.l_h_star + res.r_c_star * res.k_c_star
     shares = factor_shares(res.w_h_star, res.l_h_star, res.r_c_star, res.k_c_star, y)
-    meta = standard_metadata(scenario_sha256(s))
-    meta["command"] = "shares"
-    meta["mode"] = args.mode
+    meta = standard_metadata(scenario_sha256(s), command="shares", mode=args.mode)
     return OutputTable(
         headers=("s_labor", "s_compute", "y"),
         rows=((shares.s_labor, shares.s_compute, y),),

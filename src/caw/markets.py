@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import constants
 from .bound import caw_ceiling, classify_regime
@@ -53,8 +52,7 @@ from .model import (
 from .roots import DEFAULT_BRACKET, REACHABLE, find_root
 
 
-@dataclass(frozen=True)
-class ClearingPoint:
+class ClearingPoint(NamedTuple):
     """A market clearing price/quantity with solver diagnostics."""
 
     price: float
@@ -158,8 +156,8 @@ SWEEPABLE_PARAMS: tuple[str, ...] = tuple(
 
 def _swept_holder(s: Scenario, param: str):
     """The Scenario attribute of the part holding ``param``, and a function
-    setting the field on that part by positional construction (less than
-    half the cost of ``dataclasses.replace``). Unknown or absent fields raise."""
+    setting the field on that part by positional construction (cheaper than
+    ``_replace``, which takes keywords). Unknown or absent fields raise."""
     if param not in SWEEPABLE_PARAMS:
         raise InvalidInput(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEPABLE_PARAMS)}")
     field = FIELDS[param]
@@ -167,9 +165,9 @@ def _swept_holder(s: Scenario, param: str):
     holder = getattr(s, section.attr)
     if holder is None:
         raise InvalidInput(f"scenario has no {section.key} to sweep")
-    args = section.args(holder)
-    at, cls = field.position, type(holder)
-    before, after = args[:at], args[at + 1 :]
+    cls = type(holder)
+    at = cls._fields.index(field.attr)
+    before, after = holder[:at], holder[at + 1 :]
     return section.attr, lambda value: cls(*before, value, *after)
 
 
@@ -298,14 +296,16 @@ def _coupled_rate(
         else:
             bracket = (min(DEFAULT_BRACKET[0], hi - 1.0), hi)
 
+    k, supplied = tech.k, compute_supply.quantity
+
     def excess(r_c: float) -> float:
         ceiling = factor * r_c
         if ceiling != 0.0 and w_clear <= ceiling:
             derived = 0.0
         else:
-            derived = tech.k * _agent_labor(tech, ceiling, supply, demand)[2]
+            derived = k * _agent_labor(tech, ceiling, supply, demand)[2]
         exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
-        return derived + exogenous - compute_supply.quantity(r_c)
+        return derived + exogenous - supplied(r_c)
 
     abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
     return find_root(excess, abs_tol=abs_tol, bracket=bracket).root

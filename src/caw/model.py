@@ -1,8 +1,12 @@
 """Core domain types for the compute-anchored wage model.
 
 Every other module operates on the types defined here and defines no
-duplicates. All types are immutable after construction and safe to share
-across threads or processes.
+duplicates. Every record, here and in the other modules, is a
+``typing.NamedTuple``: immutable after construction, safe to share across
+threads or processes, hashable where its fields are, iterable in field
+order, and equal to a plain tuple of the same values. ``_replace`` copies
+one with fields changed, and ``_fields`` names the fields in constructor
+order.
 
 Units convention (documented once, used everywhere):
 
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidInput
@@ -49,8 +52,7 @@ class Regime(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Technology:
+class Technology(NamedTuple):
     """Agent production technology: conversion of compute into cognitive labor.
 
     ``lam`` > 0, ``k`` > 0, ``g`` >= 0. ``g`` defaults to 0 (static technology).
@@ -61,8 +63,7 @@ class Technology:
     g: float = 0.0
 
 
-@dataclass(frozen=True)
-class CesParams:
+class CesParams(NamedTuple):
     """Parameters of the two-input CES aggregator of cognitive labor.
 
     ``A`` is a pure scale on effective labor, ``alpha``/``beta`` are the
@@ -81,8 +82,7 @@ class CesParams:
         return 1.0 - 1.0 / self.sigma
 
 
-@dataclass(frozen=True)
-class IsoElasticCurve:
+class IsoElasticCurve(NamedTuple):
     """Constant-elasticity schedule q(p) = scale * p**(+/- elasticity).
 
     The exponent sign is carried by ``kind`` (+ for supply, - for demand) so
@@ -98,11 +98,12 @@ class IsoElasticCurve:
         """Quantity at ``price`` (> 0); ``inf`` where the power overflows."""
         if price <= 0.0 or not math.isfinite(price):
             raise InvalidInput(f"curve evaluated at non-positive price {price!r}")
-        if self.elasticity == 0.0:
-            return self.scale
-        exponent = self.elasticity if self.kind is CurveKind.SUPPLY else -self.elasticity
+        kind, scale, elasticity = self
+        if elasticity == 0.0:
+            return scale
+        exponent = elasticity if kind is CurveKind.SUPPLY else -elasticity
         try:
-            return self.scale * price**exponent
+            return scale * price**exponent
         except OverflowError:
             return math.inf
 
@@ -115,8 +116,7 @@ def demand_curve(scale: float, elasticity: float) -> IsoElasticCurve:
     return IsoElasticCurve(CurveKind.DEMAND, scale, elasticity)
 
 
-@dataclass(frozen=True)
-class FactorPrices:
+class FactorPrices(NamedTuple):
     """One consistent snapshot of the three factor prices.
 
     Whenever all three are populated from one technology the identity
@@ -134,8 +134,7 @@ class FactorPrices:
         return cls(w_h=w_h, w_a_eff=tech.k * r_c, r_c=r_c)
 
 
-@dataclass(frozen=True)
-class PolicyLevers:
+class PolicyLevers(NamedTuple):
     """Multiplicative levers on the compute rental rate.
 
     ``tau_c`` is an ad-valorem tax rate (>= 0) and ``mu`` a markup factor for
@@ -147,8 +146,13 @@ class PolicyLevers:
     mu: float = 1.0
 
 
-@dataclass(frozen=True)
-class TaskProfile:
+class _TaskProfile(NamedTuple):
+    s_sub: float
+    w_comp: float
+    w_counterfactual: float
+
+
+class TaskProfile(_TaskProfile):
     """An occupation's hour split between automatable and complementary tasks.
 
     ``s_sub`` in [0, 1] is the share of hours on the substitutable set; the
@@ -157,21 +161,20 @@ class TaskProfile:
     absent agents; it defaults to ``w_comp``.
     """
 
-    s_sub: float
-    w_comp: float
-    w_counterfactual: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
 
-    def __post_init__(self):
-        if not 0.0 <= self.s_sub <= 1.0:
-            raise InvalidInput(f"s_sub must lie in [0, 1], got {self.s_sub!r}")
-        if self.w_counterfactual is None:
-            object.__setattr__(self, "w_counterfactual", self.w_comp)
-        if self.w_comp < 0.0 or self.w_counterfactual < 0.0:
+    def __new__(cls, s_sub: float, w_comp: float, w_counterfactual: float | None = None):
+        if not 0.0 <= s_sub <= 1.0:
+            raise InvalidInput(f"s_sub must lie in [0, 1], got {s_sub!r}")
+        if w_counterfactual is None:
+            w_counterfactual = w_comp
+        if w_comp < 0.0 or w_counterfactual < 0.0:
             raise InvalidInput("task wages must be nonnegative")
+        return super().__new__(cls, s_sub, w_comp, w_counterfactual)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A complete serializable model instance.
 
     ``compute_demand_exogenous`` is the non-agent demand for compute; it may
@@ -185,12 +188,11 @@ class Scenario:
     compute_demand_exogenous: IsoElasticCurve | None
     labor_demand_ts: IsoElasticCurve
     labor_supply_ts: IsoElasticCurve
-    policy: PolicyLevers = field(default_factory=PolicyLevers)
+    policy: PolicyLevers = PolicyLevers()
     output_price: float = 1.0
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Prices, quantities and regime for one solved scenario.
 
     ``ceiling`` is the policy-adjusted wage bound ``lam*k*(1+tau_c)*mu*r_c_star``
@@ -213,16 +215,14 @@ class EquilibriumResult:
     labor_demand_at_wage: float
 
 
-@dataclass(frozen=True)
-class FactorShares:
+class FactorShares(NamedTuple):
     """Payments to labor and compute as fractions of output value."""
 
     s_labor: float
     s_compute: float
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant violation with a stable machine-readable code."""
 
     code: str
@@ -239,7 +239,6 @@ class Field(NamedTuple):
     path: str  # dotted document name: "technology.lambda", "output_price"
     key: str  # key within its section's object
     attr: str  # attribute of the part that holds it ("lam" for "lambda")
-    position: int  # index of that attribute among the part's constructor arguments
     default: float | None  # REQUIRED (None): every document must give it
     bound: float
     inclusive: bool  # whether the bound itself is allowed
@@ -261,11 +260,6 @@ class Section(NamedTuple):
         if self.kind is float:
             return [part]
         return [getattr(part, f.attr) for f in self.fields]
-
-    def args(self, part) -> list:
-        """``part``'s constructor arguments: a curve's kind, then its field values."""
-        values = self.values(part)
-        return [part.kind, *values] if isinstance(self.kind, CurveKind) else values
 
     def build(self, values):
         """The part holding ``values``, given in field order."""
@@ -289,12 +283,12 @@ def _section(key: str, attr: str, kind, *specs, nullable: bool = False) -> Secti
     curve = isinstance(kind, CurveKind)
     curve_nonfinite = Violation(f"{key}.nonfinite", f"{key} has non-finite parameters")
     fields = []
-    for position, (name, field_attr, default, (bound, inclusive, code)) in enumerate(specs, start=curve):
+    for name, field_attr, default, (bound, inclusive, code) in specs:
         path = key if kind is float else f"{key}.{name}"
         nonfinite = curve_nonfinite if curve else Violation(f"{path}.nonfinite", f"{name} must be finite")
         label = path if curve else name
         below = Violation(f"{path}.{code}", f"{label} must be {'>=' if inclusive else '>'} {bound:g}")
-        fields.append(Field(path, name, field_attr, position, default, bound, inclusive, nonfinite, below))
+        fields.append(Field(path, name, field_attr, default, bound, inclusive, nonfinite, below))
     return Section(key, attr, kind, tuple(fields), nullable)
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from . import constants
 from .errors import InvalidInput, ParseError, ValidationError
@@ -120,30 +119,31 @@ def inputs_sha256(inputs: Mapping[str, Any]) -> str:
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class OutputTable:
-    """Ordered tabular result with mandatory provenance metadata."""
-
+class _OutputTable(NamedTuple):
     headers: tuple[str, ...]
     rows: tuple[tuple, ...]
     metadata: dict[str, Any]
 
-    def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.headers):
-                raise InvalidInput(
-                    f"row {i} has {len(row)} cells for {len(self.headers)} headers"
-                )
-        if not self.metadata:
+
+class OutputTable(_OutputTable):
+    """Ordered tabular result with mandatory provenance metadata."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
+
+    def __new__(cls, headers: tuple[str, ...], rows: tuple[tuple, ...], metadata: dict[str, Any]):
+        for i, row in enumerate(rows):
+            if len(row) != len(headers):
+                raise InvalidInput(f"row {i} has {len(row)} cells for {len(headers)} headers")
+        if not metadata:
             raise InvalidInput("output tables must carry metadata")
+        return super().__new__(cls, headers, rows, metadata)
 
 
-def standard_metadata(source_sha256: str) -> dict[str, Any]:
-    """Metadata block for every emitted table: version, input hash, tolerances."""
-    meta: dict[str, Any] = {
-        "caw_version": _tool_version(),
-        "source_sha256": source_sha256,
-    }
+def standard_metadata(source_sha256: str, **fields: Any) -> dict[str, Any]:
+    """Metadata block for every emitted table: version, input hash,
+    tolerances, and the command's own ``fields``."""
+    meta: dict[str, Any] = {"caw_version": _tool_version(), "source_sha256": source_sha256, **fields}
     for key, value in constants.tolerance_table().items():
         meta[f"tol_{key}"] = value
     return meta

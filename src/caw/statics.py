@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import constants
+from .bound import caw_ceiling
 from .ces import _branch, _cd_exponents, relative_wage
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import SWEEPABLE_PARAMS, clear_market, solve_batch  # SWEEPABLE_PARAMS is re-exported
@@ -41,14 +41,14 @@ from .model import (
     CurveKind,
     EquilibriumResult,
     IsoElasticCurve,
+    PolicyLevers,
     Scenario,
     Technology,
 )
 from .roots import find_root
 
 
-@dataclass(frozen=True)
-class StaticsSetup:
+class StaticsSetup(NamedTuple):
     """Environment for the pass-through exercise.
 
     ``l_eff_demand`` is the fixed effective-labor quantity demanded;
@@ -61,15 +61,13 @@ class StaticsSetup:
     w_a_eff: float
 
 
-@dataclass(frozen=True)
-class StaticsPoint:
+class StaticsPoint(NamedTuple):
     w_h: float
     l_h: float
     l_a: float
 
 
-@dataclass(frozen=True)
-class SemiElasticity:
+class SemiElasticity(NamedTuple):
     """Pass-through computed two ways, plus the one-sided differences."""
 
     direct: float
@@ -79,21 +77,18 @@ class SemiElasticity:
     base: StaticsPoint
 
 
-@dataclass(frozen=True)
-class WageBillState:
+class WageBillState(NamedTuple):
     wage: float
     employment: float
     bill: float
 
 
-@dataclass(frozen=True)
-class WageBillResponse:
+class WageBillResponse(NamedTuple):
     before: WageBillState
     after: WageBillState
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a parameter sweep; ``error`` set when solving failed."""
 
     value: float
@@ -101,33 +96,40 @@ class SweepRow:
     error: str | None = None
 
 
-def _log_agent_labor(ces: CesParams, l_h: float, target: float) -> float | None:
-    """log l_a solving ces_output(l_h, l_a) == target for fixed l_h > 0.
+def _log_agent_labor(ces: CesParams, target: float) -> Callable[[float], float | None]:
+    """The function of l_h > 0 giving log l_a where ces_output(l_h, l_a) == target,
+    with every term that does not depend on l_h computed once.
 
-    Returns None when humans alone already meet or exceed the target (no
-    positive l_a solves the equality); raises Infeasible when no finite l_a
-    can reach it (complements with too little human labor). Not defined on
-    the fixed-proportions branch, which callers reject first.
+    It returns None when humans alone already meet or exceed the target (no
+    positive l_a solves the equality) and raises Infeasible when no finite
+    l_a can reach it (complements with too little human labor). Not defined
+    on the fixed-proportions branch, which callers reject first.
     """
-    branch = _branch(ces.sigma)
+    A, alpha, beta, sigma = ces
+    branch = _branch(sigma)
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
-        return (math.log(target / ces.A) - a * math.log(l_h)) / b
+        log_target = math.log(target / A)
+        return lambda l_h: (log_target - a * math.log(l_h)) / b
     if branch == "linear":
-        l_a = (target / ces.A - ces.alpha * l_h) / ces.beta
-        return math.log(l_a) if l_a > 0.0 else None
+        scaled = target / A
+        return lambda l_h: math.log(l_a) if (l_a := (scaled - alpha * l_h) / beta) > 0.0 else None
 
     rho = ces.rho
-    x_target = rho * math.log(target / ces.A)
-    x_human = math.log(ces.alpha) + rho * math.log(l_h)
-    if not x_target > x_human:
-        if rho < 0.0:
-            raise Infeasible("output target unreachable even as agent labor grows without bound")
-        return None
-    # log(exp(x_target) - exp(x_human)); unlike 1 - exp(d), -expm1(d) stays
-    # positive for every d < 0, however close humans alone come to the target.
-    log_gap = x_target + math.log(-math.expm1(x_human - x_target))
-    return (log_gap - math.log(ces.beta)) / rho
+    x_target, log_alpha, log_beta = rho * math.log(target / A), math.log(alpha), math.log(beta)
+
+    def general(l_h: float) -> float | None:
+        x_human = log_alpha + rho * math.log(l_h)
+        if not x_target > x_human:
+            if rho < 0.0:
+                raise Infeasible("output target unreachable even as agent labor grows without bound")
+            return None
+        # log(exp(x_target) - exp(x_human)); unlike 1 - exp(d), -expm1(d) stays
+        # positive for every d < 0, however close humans alone come to the target.
+        log_gap = x_target + math.log(-math.expm1(x_human - x_target))
+        return (log_gap - log_beta) / rho
+
+    return general
 
 
 def _agent_labor(log_la: float) -> float:
@@ -171,28 +173,30 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
             f"{constants.SIGMA_LEONTIEF_THRESHOLD!r}, where the relative wage does not pin w_h"
         )
 
+    log_agent_labor = _log_agent_labor(ces, su.l_eff_demand)
     if su.labor_supply.elasticity == 0.0:
         l_h = su.labor_supply.scale
-        log_la = _log_agent_labor(ces, l_h, su.l_eff_demand)
+        log_la = log_agent_labor(l_h)
         if log_la is None:
             raise Infeasible("fixed human supply exceeds the effective-labor demand target")
         l_a = _agent_labor(log_la)
         return StaticsPoint(w_h=su.w_a_eff * relative_wage(ces, l_h, l_a), l_h=l_h, l_a=l_a)
 
     log_implied_base = math.log(su.w_a_eff * ces.alpha / ces.beta)
+    supply, sigma = su.labor_supply.quantity, ces.sigma
 
     def gap(w: float) -> float:
         # log(w / (w_a_eff * relative_wage)) kept in logs so nothing overflows.
-        l_h = su.labor_supply.quantity(w)
+        l_h = supply(w)
         if l_h == 0.0:
             return -1.0  # too few humans: implied wage unbounded above
         try:
-            log_la = _log_agent_labor(ces, l_h, su.l_eff_demand)
+            log_la = log_agent_labor(l_h)
         except Infeasible:
             return -1.0
         if log_la is None:
             return 1.0  # humans oversupplied: implied wage collapses to zero
-        return math.log(w) - log_implied_base + (math.log(l_h) - log_la) / ces.sigma
+        return math.log(w) - log_implied_base + (math.log(l_h) - log_la) / sigma
 
     tol = constants.STATICS_WAGE_REL_TOL
     try:
@@ -212,7 +216,7 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
             "so agents are not employed and the pass-through is undefined"
         )
     l_h = su.labor_supply.quantity(w_h)
-    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_agent_labor(_log_agent_labor(ces, l_h, su.l_eff_demand)))
+    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_agent_labor(log_agent_labor(l_h)))
 
 
 def semi_elasticity(
@@ -229,8 +233,8 @@ def semi_elasticity(
         raise InvalidInput(f"rel_step must lie in (0, 0.1], got {rel_step!r}")
     h = rel_step
     base = solve_statics_point(su)
-    minus = solve_statics_point(replace(su, w_a_eff=su.w_a_eff * math.exp(-h)))
-    plus = solve_statics_point(replace(su, w_a_eff=su.w_a_eff * math.exp(h)))
+    minus = solve_statics_point(su._replace(w_a_eff=su.w_a_eff * math.exp(-h)))
+    plus = solve_statics_point(su._replace(w_a_eff=su.w_a_eff * math.exp(h)))
 
     fd = (math.log(plus.w_h) - math.log(minus.w_h)) / (2.0 * h)
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h
@@ -247,15 +251,15 @@ def semi_elasticity(
 
 
 def caw_trajectory(
-    tech: Technology, r_c: float, t_grid: Sequence[float]
+    tech: Technology, r_c: float, t_grid: Sequence[float], policy: PolicyLevers | None = None
 ) -> list[tuple[float, float]]:
     """Wage ceiling over time under exponential compute-intensity improvement.
 
-    ceiling(t) = lam * k * exp(-g*t) * r_c per grid point; strictly
-    decreasing for g > 0 and constant for g = 0.
+    ceiling(t) = caw_ceiling(tech, r_c, policy) * exp(-g*t) per grid point,
+    that is lam * k * (1 + tau_c) * mu * r_c at t = 0; strictly decreasing
+    for g > 0 and constant for g = 0.
     """
-    if r_c < 0.0:
-        raise InvalidInput(f"rental rate must be nonnegative, got {r_c!r}")
+    base = caw_ceiling(tech, r_c, policy)
     previous = None
     for t in t_grid:
         if t < 0.0:
@@ -263,7 +267,6 @@ def caw_trajectory(
         if previous is not None and t < previous:
             raise InvalidInput("trajectory time grid must be ascending")
         previous = t
-    base = tech.lam * tech.k * r_c
     return [(t, base * math.exp(-tech.g * t)) for t in t_grid]
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -50,11 +49,11 @@ _FIELD_NAMES = {"lambda": "lam", "compute_demand": "compute_demand_exogenous"}
 
 def with_field(s, param, value):
     """Copy of ``s`` with the field at the dotted sweep name ``param`` set to
-    ``value``: an oracle for one row of a sweep, built with ``replace`` and
+    ``value``: an oracle for one row of a sweep, built with ``_replace`` and
     its own name mapping rather than the kernel's ``SWEEP_FIELDS``."""
     section, name = (_FIELD_NAMES.get(part, part) for part in param.split("."))
     part = getattr(s, section)
-    return replace(s, **{section: replace(part, **{name: value})})
+    return s._replace(**{section: part._replace(**{name: value})})
 
 
 @pytest.fixture

@@ -142,6 +142,20 @@ def test_trajectory_defaults_to_market_rental_rate(tmp_path):
     assert float(rows[0][1]) == pytest.approx(2.0, rel=1e-12)  # rc* = 2 from compute market
 
 
+def test_trajectory_starts_at_the_policy_adjusted_ceiling(tmp_path):
+    s = make_scenario(tau_c=0.5, mu=1.2)
+    path = write_scenario(tmp_path, s)
+    code, out, err = run(["solve", "--scenario", path])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    ceiling = dict(zip(headers, rows[0]))["ceiling"]
+    assert ceiling == "3.5999999999999996"  # 1 * 1 * (1 + 0.5) * 1.2 * r_c = 2
+    code, out, err = run(["trajectory", "--scenario", path, "--t-max", "1", "--steps", "2"])
+    assert code == 0, err
+    _, rows = data_rows(out)
+    assert rows[0] == ["0.0", ceiling]
+
+
 def test_sweep_lambda_grid(tmp_path):
     code, out, _ = run(
         [
@@ -409,6 +423,32 @@ def test_ces_flags_use_the_scenario_file_wording():
     code, out, err = run(["ces", "--alpha", "0.5", "--beta", "0.5", "--sigma", "0", "--wh", "1", "--wa", "1"])
     assert code == 2 and out == ""
     assert err == "error: sigma must be > 0\n"
+
+
+# Extreme weights and prices: exp in the Cobb-Douglas unit cost overflowed,
+# w_h / alpha underflowed to 0 under a log, and A * alpha underflowed to 0 as
+# a divisor in the linear branch. Each raised out of run_command.
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--A", "1e-12", "--alpha", "1e-12", "--beta", "2.335074623810526e-18", "--sigma", "1.0",
+         "--wh", "1.7976931348623157e+308", "--wa", "1.7976931348623157e+308"],
+        ["--A", "1e12", "--alpha", "1.7976931348623157e+308", "--beta", "1e-300", "--sigma", "2.0",
+         "--wh", "2.498810710718948e-29", "--wa", "1e-300"],
+        ["--A", "2.3122065022659705e-23", "--alpha", "1e-320", "--beta", "6.339409660106957e-09",
+         "--sigma", "1e300", "--wh", "0.0032396109799806543", "--wa", "5e-324"],
+    ],
+    ids=["cobb-douglas-overflow", "general-quotient-underflow", "linear-scale-underflow"],
+)
+def test_ces_at_float_range_extremes_exits_cleanly(flags):
+    code, out, err = run(["ces", *flags])
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    _, rows = data_rows(out)
+    assert all(math.isfinite(float(cell)) for cell in rows[0])
 
 
 # An overflowing lambda*k makes the ceiling inf at a positive rate, which

@@ -1,10 +1,11 @@
-import dataclasses
+import enum
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import caw
 from caw import (
     CesParams,
     CurveKind,
@@ -22,14 +23,13 @@ from conftest import make_scenario
 
 
 def test_schema_table_places_every_scenario_field():
-    assert [section.attr for section in SECTIONS] == [f.name for f in dataclasses.fields(Scenario)]
+    assert [section.attr for section in SECTIONS] == list(Scenario._fields)
     for section in SECTIONS:
         if section.kind is float:
             continue
         cls = IsoElasticCurve if isinstance(section.kind, CurveKind) else section.kind
-        names = [f.name for f in dataclasses.fields(cls)]
-        assert [names[f.position] for f in section.fields] == [f.attr for f in section.fields]
-        assert set(names) - {f.attr for f in section.fields} <= {"kind"}
+        # Section.build passes the field values positionally, in document order.
+        assert [name for name in cls._fields if name != "kind"] == [f.attr for f in section.fields]
 
 
 def test_valid_scenario_has_no_violations():
@@ -137,14 +137,57 @@ def test_task_profile_counterfactual_defaults_to_comp_wage():
 def test_task_profile_rejects_share_outside_unit_interval():
     with pytest.raises(InvalidInput):
         TaskProfile(s_sub=1.5, w_comp=25.0)
+    with pytest.raises(InvalidInput):
+        TaskProfile(s_sub=0.5, w_comp=25.0)._replace(s_sub=1.5)
+
+
+def _one_of_each_record():
+    """One instance of every public record class, by class name."""
+    from caw.model import FIELDS
+    from caw.roots import find_root
+
+    tech = Technology(lam=1.0, k=1.0)
+    ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
+    setup = caw.StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(1.0, 1.0), w_a_eff=1.0)
+    bill = caw.wage_bill_response(demand_curve(10.0, 1.0), supply_curve(1.0, 1.0), 2.0, 1.0)
+    records = [
+        tech,
+        ces,
+        supply_curve(1.0, 1.0),
+        FactorPrices.from_technology(tech, w_h=1.0, r_c=1.0),
+        caw.PolicyLevers(),
+        TaskProfile(s_sub=0.5, w_comp=1.0),
+        make_scenario(),
+        caw.solve_scenario(make_scenario()),
+        caw.factor_shares(1.0, 1.0, 1.0, 1.0, 2.0),
+        validate_scenario(make_scenario(mu=0.5))[0],
+        caw.conditional_demands(ces, 1.0, 1.0),
+        caw.linear_costmin(1.0, tech, 1.0, 1.0),
+        caw.clear_market(supply_curve(1.0, 1.0), demand_curve(4.0, 1.0)),
+        setup,
+        caw.solve_statics_point(setup),
+        caw.semi_elasticity(setup),
+        bill,
+        bill.before,
+        caw.sweep(make_scenario(), "technology.k", [1.0])[0],
+        caw.table1()[0][0],
+        caw.OutputTable(headers=("x",), rows=((1.0,),), metadata={"command": "x"}),
+        find_root(lambda p: 1.0 - p, abs_tol=1e-12),
+        FIELDS["policy.mu"],
+        SECTIONS[0],
+    ]
+    return {type(r).__name__: r for r in records}
 
 
 def test_domain_types_are_immutable():
-    import dataclasses
-
-    tech = Technology(lam=1.0, k=1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tech.lam = 2.0
-    ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ces.sigma = 3.0
+    records = _one_of_each_record()
+    classes = [getattr(caw, name) for name in caw.__all__ if isinstance(getattr(caw, name), type)]
+    assert {c.__name__ for c in classes if not issubclass(c, (Exception, enum.Enum))} <= set(records)
+    for name, record in records.items():
+        for attr in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, attr, getattr(record, attr))
+        with pytest.raises(AttributeError):
+            record.undeclared = 1.0
+        if name != "OutputTable":  # its metadata is a dict
+            assert hash(record) == hash(type(record)(*record))

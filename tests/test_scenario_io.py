@@ -233,6 +233,8 @@ def test_emission_is_deterministic():
 def test_row_length_mismatch_rejected():
     with pytest.raises(InvalidInput):
         OutputTable(headers=("a", "b"), rows=((1.0,),), metadata={"v": 1})
+    with pytest.raises(InvalidInput):
+        OutputTable(headers=("a",), rows=((1.0,),), metadata={"v": 1})._replace(headers=("a", "b"))
 
 
 def test_metadata_required():

@@ -1,4 +1,5 @@
-"""Start-up import checks: the CLI builds its grids without numpy.
+"""Start-up import checks: the CLI builds its grids without numpy and its
+records without dataclasses.
 
 These run fresh interpreters, since an import already made by the test
 process would hide one made by ``caw.cli``. They check which modules load,
@@ -24,6 +25,13 @@ def _python(code: str) -> subprocess.CompletedProcess:
 
 def test_importing_the_cli_does_not_import_numpy():
     proc = _python("import caw.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_does_not_import_dataclasses_or_inspect():
+    # Records are NamedTuples, so a cold start does not pay for importing
+    # dataclasses and the inspect module it loads.
+    proc = _python("import caw.cli, sys; assert not {'dataclasses', 'inspect'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 

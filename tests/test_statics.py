@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -97,7 +96,7 @@ def test_statics_point_linear_corner_is_infeasible():
     su = StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(1.0, 1.0), w_a_eff=3.0)
     with pytest.raises(Infeasible, match="agents are not employed"):
         solve_statics_point(su)
-    point = solve_statics_point(replace(su, w_a_eff=1.0))
+    point = solve_statics_point(su._replace(w_a_eff=1.0))
     assert rel_err(point.w_h, 1.0) < 1e-6 and point.l_a > 0.0
 
 
