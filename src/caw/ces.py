@@ -162,6 +162,11 @@ def _log_quotient(x: float, y: float) -> float:
     return math.log(q) if 0.0 < q < math.inf else math.log(x) - math.log(y)
 
 
+def _cd_log_cost(a: float, w: float) -> float:
+    """a * log(w / a), a Cobb-Douglas input's part of the log unit cost: 0 at a = 0, its limit."""
+    return a * (math.log(w) - math.log(a)) if a > 0.0 else 0.0
+
+
 def _demand(c: float, w: float, share: float, log_share: float) -> float:
     """c * share / w, the demand for an input with that cost share (0 where it underflows)."""
     return _in_range(c * share / w, math.log(c) + log_share - math.log(w), "demand", zero=True)
@@ -198,7 +203,7 @@ def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
         return (w_h + w_a) / ces.A
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
-        log_cost = a * (math.log(w_h) - math.log(a)) + b * (math.log(w_a) - math.log(b))
+        log_cost = _cd_log_cost(a, w_h) + _cd_log_cost(b, w_a)
         return _in_range(_exp(log_cost) / ces.A, log_cost - math.log(ces.A), "unit cost")
 
     # bracket = alpha*(w_h/alpha)**(1-sigma) + beta*(w_a/beta)**(1-sigma)
@@ -226,7 +231,9 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         c = unit_cost(ces, w_h, w_a)
-        return DemandPair(l_h=_demand(c, w_h, a, math.log(a)), l_a=_demand(c, w_a, b, math.log(b)))
+        # An input whose exponent underflowed to 0 has no cost share, so no demand.
+        l_h = _demand(c, w_h, a, math.log(a)) if a > 0.0 else 0.0
+        return DemandPair(l_h=l_h, l_a=_demand(c, w_a, b, math.log(b)) if b > 0.0 else 0.0)
 
     s = 1.0 - ces.sigma
     t_h = math.log(ces.alpha) + s * _log_quotient(w_h, ces.alpha)

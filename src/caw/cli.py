@@ -220,7 +220,7 @@ def _cmd_sweep(args) -> OutputTable:
     values = grid(args.start, args.stop, args.steps, log=args.log)
     blank = (None,) * len(EquilibriumResult._fields)
     rows = [
-        (value, res.regime.value, *res[1:], None) if res is not None else (value, *blank, error)
+        (value, res.regime._value_, *res[1:], None) if res is not None else (value, *blank, error)
         for value, res, error in sweep(s, args.param, values, solver=args.mode)
     ]
     meta = standard_metadata(scenario_sha256(s), command="sweep", mode=args.mode, param=args.param)

@@ -34,7 +34,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import caw_ceiling, classify_regime
+from .bound import caw_ceiling
 from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     FIELDS,
@@ -69,9 +69,8 @@ def _check_kinds(supply: IsoElasticCurve, demand: IsoElasticCurve) -> None:
 
 
 def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
-    """The closed-form price of :func:`clear_market`; 1.0 when both curves
-    are perfectly inelastic with equal scales."""
-    _check_kinds(supply, demand)
+    """The closed-form price of :func:`clear_market`, curve kinds unchecked;
+    1.0 when both curves are perfectly inelastic with equal scales."""
     total_elasticity = supply.elasticity + demand.elasticity
     if total_elasticity == 0.0:
         if supply.scale == demand.scale:
@@ -102,12 +101,12 @@ def clear_market(
     price clears: equal scales return the unit-price convention, unequal
     scales have no equilibrium.
     """
+    _check_kinds(supply, demand)
     if method == "closed_form" or supply.elasticity + demand.elasticity == 0.0:
         price = _clearing_price(supply, demand)
         quantity = supply.quantity(price)
         residual = abs(demand.quantity(price) - quantity)
         return ClearingPoint(price=price, quantity=quantity, iterations=0, residual=residual)
-    _check_kinds(supply, demand)
     if method == "root_search":
         def excess(p: float) -> float:
             return demand.quantity(p) - supply.quantity(p)
@@ -194,50 +193,38 @@ def _agent_labor(
 def _place_at_ceiling(
     tech: Technology,
     policy: PolicyLevers,
+    factor: float,
     r_c_star: float,
     supply: IsoElasticCurve,
     demand: IsoElasticCurve,
     w_clear: float | CawError,
+    slack: tuple[float, float] | None,
 ) -> EquilibriumResult:
     """One capped labor-market solve at a known rental rate.
 
-    ``w_clear`` is the uncapped clearing wage of ``supply`` against
-    ``demand``, or the error clearing raised; it is read only when the
-    ceiling is positive. A zero ceiling, even one that underflows at a
-    positive rate, binds; the result reports ``r_c_star`` as given.
+    ``factor`` is ``caw_ceiling(tech, 1.0, policy)``: a positive rate's
+    ceiling is ``factor * r_c_star``, the same product. ``w_clear`` is the
+    uncapped clearing wage, or the error clearing raised, read only when the
+    ceiling is positive; ``slack`` holds both curves' quantities at it, if
+    known. A zero ceiling, even one that underflows at a positive rate,
+    binds; the result reports ``r_c_star`` as given.
     """
-    ceiling = caw_ceiling(tech, r_c_star, policy)
+    ceiling = factor * r_c_star if r_c_star > 0.0 else caw_ceiling(tech, r_c_star, policy)
     if ceiling != 0.0:
         if isinstance(w_clear, CawError):
             raise w_clear.with_traceback(None)
         if w_clear <= ceiling:
-            regime = classify_regime(w_clear, ceiling, constants.REGIME_BAND_ABS)
-            l_h = supply.quantity(w_clear)
-            return EquilibriumResult(
-                regime=regime,
-                w_h_star=w_clear,
-                r_c_star=r_c_star,
-                ceiling=ceiling,
-                l_h_star=l_h,
-                l_a_star=0.0,
-                k_c_star=0.0,
-                ceiling_binds=regime is Regime.MIXED,
-                labor_supply_at_wage=l_h,
-                labor_demand_at_wage=demand.quantity(w_clear),
-            )
+            l_h, l_d = slack or (supply.quantity(w_clear), demand.quantity(w_clear))
+            # classify_regime's band test; w_clear cannot lie above the ceiling here.
+            binds = w_clear >= ceiling - constants.REGIME_BAND_ABS
+            regime = Regime.MIXED if binds else Regime.HUMAN_ONLY
+            return EquilibriumResult(regime, w_clear, r_c_star, ceiling, l_h, 0.0, 0.0, binds, l_h, l_d)
 
+    # A binding ceiling: classify_regime(ceiling, ceiling, band) is MIXED.
     supply_at_ceiling, demand_at_ceiling, l_a = _agent_labor(tech, ceiling, supply, demand)
     return EquilibriumResult(
-        regime=classify_regime(ceiling, ceiling, constants.REGIME_BAND_ABS),
-        w_h_star=ceiling,
-        r_c_star=r_c_star,
-        ceiling=ceiling,
-        l_h_star=min(supply_at_ceiling, demand_at_ceiling),
-        l_a_star=l_a,
-        k_c_star=tech.k * l_a,
-        ceiling_binds=True,
-        labor_supply_at_wage=supply_at_ceiling,
-        labor_demand_at_wage=demand_at_ceiling,
+        Regime.MIXED, ceiling, r_c_star, ceiling, min(supply_at_ceiling, demand_at_ceiling), l_a,
+        tech.k * l_a, True, supply_at_ceiling, demand_at_ceiling,
     )
 
 
@@ -247,7 +234,7 @@ _LOWEST_RATE, _HIGHEST_RATE = math.exp(REACHABLE[0]), math.exp(REACHABLE[1])
 
 def _coupled_rate(
     tech: Technology,
-    policy: PolicyLevers,
+    factor: float,
     compute_supply: IsoElasticCurve,
     compute_demand: IsoElasticCurve | None,
     supply: IsoElasticCurve,
@@ -269,13 +256,12 @@ def _coupled_rate(
     (:data:`caw.roots.REACHABLE`), from [min(log BRACKET_LO, log r_b - 1),
     log r_b]. An ``r_b`` beyond that reach keeps the default bracket.
 
+    ``factor`` is the ceiling per unit rental rate of :func:`_place_at_ceiling`.
     Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
     read without building a result; a clearing error raises first.
     """
     if isinstance(w_clear, CawError):
         raise w_clear.with_traceback(None)
-    # caw_ceiling's product in the same order; the technology was validated on entry.
-    factor = tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu
     r0 = None if isinstance(r0, CawError) else r0
     if r0 is not None:
         ceiling = factor * r0
@@ -343,10 +329,12 @@ def solve_batch(
     (:func:`caw.model.field_violation`) is a ValidationError row with the
     rule's message. Other exceptions propagate.
 
-    ``s`` is validated once, on entry (ValidationError). The compute-market
-    price is computed once when no compute curve is swept, and the uncapped
-    labor clearing once when no labor curve is swept; what such a shared
-    stage returns or raises holds for every row.
+    ``s`` is validated once, on entry (ValidationError). Once per batch, not
+    per row: the compute-market price unless a compute curve is swept; the
+    labor clearing wage and both labor quantities at it unless a labor curve
+    is swept; the ceiling per unit rate, ``caw_ceiling(technology, 1.0,
+    policy)``, unless a ``technology.*`` or ``policy.*`` field is swept. What
+    such a shared stage returns or raises holds for every row.
     """
     if mode not in ("capped", "coupled"):
         raise InvalidInput(f"unknown solve mode {mode!r}; use 'capped' or 'coupled'")
@@ -372,7 +360,14 @@ def solve_batch(
     if rate is None and not compute_swept:
         rate = _attempt(_rental_rate, s.compute_supply, s.compute_demand_exogenous)
     labor_swept = attr in _LABOR_PARTS
-    w_clear = None if labor_swept else _attempt(_clearing_price, s.labor_supply_ts, s.labor_demand_ts)
+    w_clear = slack = None
+    if not labor_swept:
+        w_clear = _attempt(_clearing_price, s.labor_supply_ts, s.labor_demand_ts)
+        if not isinstance(w_clear, CawError):
+            slack = (s.labor_supply_ts.quantity(w_clear), s.labor_demand_ts.quantity(w_clear))
+    # The ceiling per unit rental rate, for every row unless a field it reads is swept.
+    ceiling_swept = attr in ("technology", "policy")
+    factor = None if ceiling_swept else caw_ceiling(s.technology, 1.0, s.policy)
 
     rows: list[EquilibriumResult | CawError] = []
     for value in values:
@@ -389,10 +384,12 @@ def solve_batch(
             continue
         clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
+            if ceiling_swept:
+                factor = caw_ceiling(tech, 1.0, policy)
             r_c = r0
             if coupled:
-                r_c = _coupled_rate(tech, policy, compute_supply, compute_demand, supply, demand, clear, r0)
-            rows.append(_place_at_ceiling(tech, policy, r_c, supply, demand, clear))
+                r_c = _coupled_rate(tech, factor, compute_supply, compute_demand, supply, demand, clear, r0)
+            rows.append(_place_at_ceiling(tech, policy, factor, r_c, supply, demand, clear, slack))
         except CawError as exc:  # per-row failures are data, not aborts
             rows.append(exc)
     return rows

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import constants
 from .errors import InvalidInput, ParseError, ValidationError
@@ -155,10 +157,13 @@ def _tool_version() -> str:
     return __version__
 
 
-def _float_text(value: float) -> str:
-    text = format(value, ".17g")
+def _mark_float(text: str) -> str:
     # Integral values print without a point; nan and inf keep their names.
     return text if "." in text or "e" in text or "n" in text else text + ".0"
+
+
+def _float_text(value: float) -> str:
+    return _mark_float(format(value, ".17g"))
 
 
 def format_number(value: float) -> str:
@@ -216,6 +221,44 @@ _JSON = {
 }
 
 
+# How a column of exact floats is written: each value's text, whether a set
+# of values needs the fix-up, and the fix-up of a text.
+_CSV_FLOATS = ("%.17g".__mod__, lambda values: any(map(float.is_integer, values)), _mark_float)
+_JSON_FLOATS = (
+    float.__repr__, lambda values: not all(map(math.isfinite, values)), lambda t: _JSON_NONFINITE.get(t, t)
+)
+
+
+def _float_column(col: tuple, floats) -> Iterable[str]:
+    """The texts of a column of exact floats, in order: where values repeat,
+    each distinct value is written once, and only a column holding a value
+    that needs it is fixed up. A column whose spread sample of about 64
+    cells holds no repeat is written cell by cell: hashing it would not pay."""
+    text, needs_fix, fix = floats
+    values = col
+    sample = col[:: len(col) // 64 or 1]
+    if len(set(sample)) < len(sample):
+        values = dict.fromkeys(col)
+        if 0.0 in values and len(set(map(math.copysign, repeat(1.0), filterfalse(None, col)))) > 1:
+            values = col  # 0.0 and -0.0 are one key but two texts: written cell by cell
+    texts = map(text, values)
+    if needs_fix(values):
+        texts = map(fix, texts)
+    return texts if values is col else map(dict(zip(values, texts)).__getitem__, col)
+
+
+def _columns(rows: tuple[tuple, ...], floats, cells: dict, other) -> list:
+    """The cell texts of ``rows`` by column: exact floats in bulk, any other
+    cell by its type's renderer in ``cells``, else by ``other``."""
+    cell = cells.get
+    return [
+        _float_column(col, floats)
+        if set(map(type, col)) == {float}
+        else [cell(type(c), other)(c) for c in col]
+        for col in zip(*rows)
+    ]
+
+
 def emit_table(t: OutputTable, format: str = "csv") -> str:
     """Render a table as ``"csv"`` or ``"json"``.
 
@@ -223,11 +266,16 @@ def emit_table(t: OutputTable, format: str = "csv") -> str:
     CSV appends metadata as sorted ``# key=value`` comment lines, JSON
     nests metadata alongside the rows and equals
     ``json.dumps(doc, indent=2, sort_keys=True)``, its rows written directly.
+
+    Cells are written column by column: a column of exact floats in bulk,
+    each repeated value once, to the same bytes as one cell at a time
+    (``format_number`` for CSV, ``repr`` for JSON); other cells by type.
     """
     if format == "csv":
+        cols = _columns(t.rows, _CSV_FLOATS, _CSV, _other_csv)
+        # Zero-width rows have no columns: each is an empty line.
+        lines = [",".join(t.headers), *(map(",".join, zip(*cols)) if cols else [""] * len(t.rows))]
         cell = _CSV.get
-        lines = [",".join(t.headers)]
-        lines += [",".join([cell(type(c), _other_csv)(c) for c in row]) for row in t.rows]
         for key in sorted(t.metadata):
             value = t.metadata[key]
             text = value if type(value) is str else cell(type(value), _other_text)(value)
@@ -239,14 +287,8 @@ def emit_table(t: OutputTable, format: str = "csv") -> str:
         head = json.dumps(doc, indent=2, sort_keys=True)[:-2]  # up to the closing "\n}"
         if not t.rows:
             return head + ',\n  "rows": []\n}\n'
-        cell = _JSON.get
-        rows = [
-            "    [\n      " + ",\n      ".join([cell(type(c), _other_json)(c) for c in row]) + "\n    ]"
-            if row
-            else "    []"
-            for row in t.rows
-        ]
-        rows[0] = head + ',\n  "rows": [\n' + rows[0]
-        rows[-1] += "\n  ]\n}\n"
-        return ",\n".join(rows)
+        cols = _columns(t.rows, _JSON_FLOATS, _JSON, _other_json)
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cols)))
+        rows = "    [\n      " + rows + "\n    ]" if cols else ",\n".join(["    []"] * len(t.rows))
+        return head + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
     raise InvalidInput(f"unknown table format {format!r}")

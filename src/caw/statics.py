@@ -368,8 +368,6 @@ def sweep(
     if len(grid) == 0:
         raise InvalidInput("sweep grid must be nonempty")
     return [
-        SweepRow(value=value, result=None, error=str(result))
-        if isinstance(result, CawError)
-        else SweepRow(value=value, result=result)
+        SweepRow(value, None, str(result)) if isinstance(result, CawError) else SweepRow(value, result, None)
         for value, result in zip(grid, solve_batch(s, param_path, grid, mode=solver))
     ]

@@ -111,6 +111,18 @@ def test_unit_cost_cobb_douglas_branch_matches_closed_form():
     )
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_cobb_douglas_exponent_that_underflows_to_zero_takes_its_limit(alpha, beta):
+    # alpha/(alpha+beta) rounds to exactly 0 or 1; a*log(a) -> 0, so the other
+    # input alone prices the unit and takes all the demand.
+    ces = CesParams(A=2.0, alpha=alpha, beta=beta, sigma=1.0)
+    agents_only = alpha < beta
+    assert unit_cost(ces, 3.0, 5.0) == pytest.approx((5.0 if agents_only else 3.0) / 2.0, rel=1e-15)
+    l_h, l_a = conditional_demands(ces, 3.0, 5.0)
+    assert (l_h == 0.0) is agents_only and (l_a == 0.0) is not agents_only
+    assert l_h + l_a == pytest.approx(0.5, rel=1e-15)
+
+
 def test_unit_cost_brute_force_oracle_equivalence():
     # >= 20 random draws against the grid + golden-section oracle.
     rng = random.Random(20240817)

@@ -437,8 +437,14 @@ def test_ces_flags_use_the_scenario_file_wording():
          "--wh", "2.498810710718948e-29", "--wa", "1e-300"],
         ["--A", "2.3122065022659705e-23", "--alpha", "1e-320", "--beta", "6.339409660106957e-09",
          "--sigma", "1e300", "--wh", "0.0032396109799806543", "--wa", "5e-324"],
+        # Weight ratios below 1e-324: a Cobb-Douglas exponent underflows to exactly 0.
+        ["--A", "1", "--alpha", "1e-300", "--beta", "1e300", "--sigma", "1.0", "--wh", "1", "--wa", "1"],
+        ["--A", "1.1096586814324925e+22", "--alpha", "2.0187526238062955e+279",
+         "--beta", "9.937423635937672e-236", "--sigma", "1.0", "--wh", "1.8050942420099155e-24",
+         "--wa", "1e-320"],
     ],
-    ids=["cobb-douglas-overflow", "general-quotient-underflow", "linear-scale-underflow"],
+    ids=["cobb-douglas-overflow", "general-quotient-underflow", "linear-scale-underflow",
+         "cobb-douglas-zero-exponent-human", "cobb-douglas-zero-exponent-agent"],
 )
 def test_ces_at_float_range_extremes_exits_cleanly(flags):
     code, out, err = run(["ces", *flags])

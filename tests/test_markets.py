@@ -15,6 +15,7 @@ from caw import (
     Regime,
     ValidationError,
     caw_ceiling,
+    classify_regime,
     clear_market,
     demand_curve,
     grid,
@@ -26,6 +27,7 @@ from caw import (
     sweep,
 )
 from caw import markets
+from caw.constants import REGIME_BAND_ABS
 from caw.roots import REACHABLE
 from conftest import make_scenario, rel_err, with_field
 
@@ -424,6 +426,56 @@ def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, 
             assert isinstance(row, CawError) and str(row) == str(exc)
         else:
             assert repr(row) == repr(direct)
+
+
+@pytest.mark.parametrize(
+    "param, per_row",
+    [("compute_supply.scale", False), ("compute_demand.elasticity", False), ("labor_supply_ts.scale", False),
+     ("technology.lambda", True), ("policy.mu", True)],
+)
+def test_capped_batch_reads_the_ceiling_once_unless_its_fields_are_swept(monkeypatch, baseline_scenario,
+                                                                         param, per_row):
+    # The ceiling per unit rental rate is one caw_ceiling call per batch; a
+    # swept technology or policy field moves it, so each row makes its own.
+    calls = []
+
+    def counted(tech, r_c, policy=None):
+        calls.append(r_c)
+        return caw_ceiling(tech, r_c, policy)
+
+    monkeypatch.setattr(markets, "caw_ceiling", counted)
+    values = [1.5, 2.0, 2.5]
+    rows = markets.solve_batch(baseline_scenario, param, values)
+    assert not any(isinstance(row, CawError) for row in rows)
+    assert calls == [1.0] * (len(values) if per_row else 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    lam=_positive,
+    k=_positive,
+    curves=st.tuples(_positive, _elasticity, _positive, _elasticity, _positive, _elasticity),
+    tau_c=st.floats(min_value=0.0, max_value=2.0),
+    mu=st.floats(min_value=1.0, max_value=3.0),
+    r_c_star=st.one_of(st.none(), st.just(0.0), _positive),
+)
+def test_batch_rows_agree_with_the_bound_functions(data, lam, k, curves, tau_c, mu, r_c_star):
+    # The kernel multiplies a per-batch factor by each rate and classifies
+    # inline: every row's ceiling is caw_ceiling's, bit for bit, and its
+    # regime is classify_regime's.
+    cs, cs_e, ld, ld_e, ls, ls_e = curves
+    s = make_scenario(lam=lam, k=k, compute_supply=(cs, cs_e), labor_demand=(ld, ld_e),
+                      labor_supply=(ls, ls_e), tau_c=tau_c, mu=mu)
+    param = data.draw(st.sampled_from(SWEEPABLE_PARAMS))
+    values = data.draw(st.lists(_positive, min_size=1, max_size=6))
+    for value, row in zip(values, markets.solve_batch(s, param, values, r_c_star=r_c_star)):
+        if isinstance(row, CawError):
+            continue
+        point = with_field(s, param, value)
+        assert repr(row.ceiling) == repr(caw_ceiling(point.technology, row.r_c_star, point.policy))
+        assert row.regime is classify_regime(row.w_h_star, row.ceiling, REGIME_BAND_ABS)
+        assert row.ceiling_binds is (row.regime is Regime.MIXED)
 
 
 def test_capped_batch_shares_a_stage_error_with_every_row():

@@ -308,6 +308,47 @@ def test_emitted_csv_equals_the_per_cell_reference(t):
     assert emit_table(t, "csv") == _reference_csv(t)
 
 
+# Tables shaped like sweep output: up to 300 rows, each column of one type.
+# Float columns mostly draw from a few values, so they repeat, hold a single
+# value, or mix signed zeros, nan, infinities, the smallest subnormal and
+# integral values with ordinary floats; one kind has every value distinct.
+_FLOAT_POOL = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e17,
+                               0.1, 2.5, -3.75, 1.0 / 3.0])
+_COLUMN_KINDS = ("pooled", "pooled", "signed_zeros", "distinct", "bool", "int", "text", "none")
+
+
+@st.composite
+def _column_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=300))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5)):
+        if kind in ("pooled", "signed_zeros"):
+            pool = draw(st.lists(_FLOAT_POOL | st.floats(), min_size=kind == "pooled", max_size=4))
+            if kind == "signed_zeros":
+                pool += [0.0, -0.0]
+            cols.append([rnd.choice(pool) for _ in range(n)])
+        elif kind == "distinct":
+            specials = draw(st.lists(_FLOAT_POOL, max_size=2))
+            cols.append(specials + [rnd.uniform(-1e3, 1e3) for _ in range(n - len(specials))])
+            rnd.shuffle(cols[-1])
+        else:
+            make = {"bool": lambda: rnd.random() < 0.5, "int": lambda: rnd.randint(-(10**20), 10**20),
+                    "text": lambda: rnd.choice(["mixed", "a,b", 'q"', ""]), "none": lambda: None}[kind]
+            cols.append([make() for _ in range(n)])
+    headers = tuple(f"c{i}" for i in range(len(cols)))
+    rows = tuple(zip(*(col[:n] for col in cols)))
+    return OutputTable(headers=headers, rows=rows, metadata={"k": 1.0})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_tables())
+def test_column_wise_emission_equals_the_references(t):
+    doc = {"headers": list(t.headers), "rows": [list(row) for row in t.rows], "metadata": t.metadata}
+    assert emit_table(t, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert emit_table(t, "csv") == _reference_csv(t)
+
+
 @pytest.mark.parametrize("headers", [(), ("a", "b")])
 def test_empty_rows_in_both_formats(headers):
     t = OutputTable(headers=headers, rows=(), metadata={"k": 1.0})
