@@ -41,6 +41,7 @@ Zero inputs with rho < 0 are a zero-output limit, returned as an explicit
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from . import constants
@@ -157,9 +158,9 @@ def _in_range(value: float, log_value: float, what: str, zero: bool = False) -> 
 
 
 def _log_quotient(x: float, y: float) -> float:
-    """log(x / y), also where the quotient underflows or overflows."""
+    """log(x / y), also where the quotient is subnormal (keeps too few digits) or overflows."""
     q = x / y
-    return math.log(q) if 0.0 < q < math.inf else math.log(x) - math.log(y)
+    return math.log(q) if sys.float_info.min <= q < math.inf else math.log(x) - math.log(y)
 
 
 def _cd_log_cost(a: float, w: float) -> float:

@@ -264,6 +264,8 @@ def _cmd_shares(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     res = solve_scenario(s, args.mode)
     y = res.w_h_star * res.l_h_star + res.r_c_star * res.k_c_star
+    if not math.isfinite(y):
+        raise SolverError("output value w_h*l_h + r_c*k_c lies outside the floating-point range")
     shares = factor_shares(res.w_h_star, res.l_h_star, res.r_c_star, res.k_c_star, y)
     meta = standard_metadata(scenario_sha256(s), command="shares", mode=args.mode)
     return OutputTable(

@@ -20,9 +20,10 @@ produces the offset term. The implementation follows the formula, which
 is internally consistent, and reports both sides of the identity so the
 check is visible.
 
-The ratio derivative inside the direct formula has no closed form under a
-general supply curve, so it is estimated by the same centered difference as
-the outer check.
+``direct`` takes it in closed form at the base point: the implicit function
+theorem on supply l_h = S0*w_h**e, the output target and the relative wage
+gives sigma*s_a / (sigma*s_a + e), s_a = 1/(1 + (w_h*l_h)/(w_a_eff*l_a)) being
+the agents' cost share. ``fd``, from two more solves, is the independent check.
 """
 
 from __future__ import annotations
@@ -33,18 +34,11 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import constants
 from .bound import caw_ceiling
-from .ces import _branch, _cd_exponents, relative_wage
+from .ces import _branch, _cd_exponents, _exp, relative_wage
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import SWEEPABLE_PARAMS, clear_market, solve_batch  # SWEEPABLE_PARAMS is re-exported
-from .model import (
-    CesParams,
-    CurveKind,
-    EquilibriumResult,
-    IsoElasticCurve,
-    PolicyLevers,
-    Scenario,
-    Technology,
-)
+from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve
+from .model import PolicyLevers, Scenario, Technology
 from .roots import find_root
 
 
@@ -103,15 +97,10 @@ def _log_agent_labor(ces: CesParams, target: float) -> Callable[[float], float |
     It returns None when humans alone already meet or exceed the target (no
     positive l_a solves the equality) and raises Infeasible when no finite
     l_a can reach it (complements with too little human labor). Not defined
-    on the fixed-proportions branch, which callers reject first.
+    on the fixed-proportions and Cobb-Douglas branches, which callers take first.
     """
     A, alpha, beta, sigma = ces
-    branch = _branch(sigma)
-    if branch == "cobb_douglas":
-        a, b = _cd_exponents(ces)
-        log_target = math.log(target / A)
-        return lambda l_h: (log_target - a * math.log(l_h)) / b
-    if branch == "linear":
+    if _branch(sigma) == "linear":
         scaled = target / A
         return lambda l_h: math.log(l_a) if (l_a := (scaled - alpha * l_h) / beta) > 0.0 else None
 
@@ -132,26 +121,23 @@ def _log_agent_labor(ces: CesParams, target: float) -> Callable[[float], float |
     return general
 
 
-def _agent_labor(log_la: float) -> float:
-    """l_a from its log; Infeasible where no positive float holds it."""
-    try:
-        l_a = math.exp(log_la)
-    except OverflowError:
-        l_a = math.inf
-    if not 0.0 < l_a < math.inf:
-        raise Infeasible(f"agent labor exp({log_la:.6g}) lies outside the floating-point range")
-    return l_a
+def _from_log(log_value: float, what: str = "agent labor") -> float:
+    """The quantity from its log; Infeasible where no positive float holds it."""
+    value = _exp(log_value)
+    if not 0.0 < value < math.inf:
+        raise Infeasible(f"{what} exp({log_value:.6g}) lies outside the floating-point range")
+    return value
 
 
 def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     """Wage and quantities satisfying supply, output, and relative-wage conditions.
 
     The three conditions are l_h = supply(w_h), ces_output(l_h, l_a) =
-    l_eff_demand, and w_h/w_a_eff = relative_wage(l_h, l_a). The inner solve
-    for l_a given l_h is closed form; the outer search on w_h is the shared
-    root finder on the (monotone) gap between the candidate and implied
-    wage. The fixed-quantity supply case is solved in closed form so
-    the polar pass-through result is exact.
+    l_eff_demand, and w_h/w_a_eff = relative_wage(l_h, l_a). The Cobb-Douglas
+    point and the fixed-quantity supply case are closed form, so the polar
+    pass-through result is exact. Elsewhere the inner solve for l_a given l_h
+    is closed form and the shared root finder searches w_h on the (monotone)
+    gap between the candidate and implied wage.
 
     Raises InvalidInput at fixed proportions, where the relative-wage
     condition does not pin w_h, Infeasible when the wage root sits where
@@ -173,17 +159,30 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
             f"{constants.SIGMA_LEONTIEF_THRESHOLD!r}, where the relative wage does not pin w_h"
         )
 
+    log_implied_base = math.log(su.w_a_eff) + math.log(ces.alpha) - math.log(ces.beta)
+    supply, sigma, e = su.labor_supply.quantity, ces.sigma, su.labor_supply.elasticity
+    if _branch(sigma) == "cobb_douglas":
+        # With exponents a + b = 1, log l_a = log l_h + log w_h - log_implied_base
+        # turns a*log l_h + b*log l_a = log(T/A) into a line in log w_h.
+        b = _cd_exponents(ces)[1]
+        if b + e == 0.0:  # b underflowed
+            raise Infeasible("agents' Cobb-Douglas exponent underflows to 0; with fixed supply no wage fits")
+        log_target = math.log(su.l_eff_demand) - math.log(ces.A) - math.log(su.labor_supply.scale)
+        log_wh = (b * log_implied_base + log_target) / (b + e)
+        w_h = _from_log(log_wh, "human wage")
+        l_h = supply(w_h)
+        if not 0.0 < l_h < math.inf:
+            raise Infeasible(f"human labor {l_h!r} at wage {w_h!r} lies outside the floating-point range")
+        return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(math.log(l_h) + log_wh - log_implied_base))
+
     log_agent_labor = _log_agent_labor(ces, su.l_eff_demand)
-    if su.labor_supply.elasticity == 0.0:
+    if e == 0.0:
         l_h = su.labor_supply.scale
         log_la = log_agent_labor(l_h)
         if log_la is None:
             raise Infeasible("fixed human supply exceeds the effective-labor demand target")
-        l_a = _agent_labor(log_la)
+        l_a = _from_log(log_la)
         return StaticsPoint(w_h=su.w_a_eff * relative_wage(ces, l_h, l_a), l_h=l_h, l_a=l_a)
-
-    log_implied_base = math.log(su.w_a_eff * ces.alpha / ces.beta)
-    supply, sigma = su.labor_supply.quantity, ces.sigma
 
     def gap(w: float) -> float:
         # log(w / (w_a_eff * relative_wage)) kept in logs so nothing overflows.
@@ -216,7 +215,7 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
             "so agents are not employed and the pass-through is undefined"
         )
     l_h = su.labor_supply.quantity(w_h)
-    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_agent_labor(log_agent_labor(l_h)))
+    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(log_agent_labor(l_h)))
 
 
 def semi_elasticity(
@@ -224,10 +223,10 @@ def semi_elasticity(
 ) -> SemiElasticity:
     """Pass-through dlog(w_h)/dlog(w_a_eff) via the identity and via differences.
 
-    ``direct`` evaluates 1 - (1/sigma) * dlog(l_h/l_a)/dlog(w_a_eff) with the
-    ratio derivative itself taken by the same centered difference; ``fd``
-    differences the solved wage directly. Both one-sided differences are
-    reported for diagnosing steps near solver tolerance.
+    ``direct`` is the closed form sigma*s_a / (sigma*s_a + e) at the base
+    point (see the module docstring); ``fd`` differences the solved wage
+    directly. Both one-sided differences are reported for diagnosing steps
+    near solver tolerance.
     """
     if not (0.0 < rel_step <= 0.1):
         raise InvalidInput(f"rel_step must lie in (0, 0.1], got {rel_step!r}")
@@ -240,10 +239,10 @@ def semi_elasticity(
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h
     fd_backward = (math.log(base.w_h) - math.log(minus.w_h)) / h
 
-    log_ratio_plus = math.log(plus.l_h) - math.log(plus.l_a)
-    log_ratio_minus = math.log(minus.l_h) - math.log(minus.l_a)
-    ratio_derivative = (log_ratio_plus - log_ratio_minus) / (2.0 * h)
-    direct = 1.0 - ratio_derivative / su.ces.sigma
+    sigma, e = su.ces.sigma, su.labor_supply.elasticity
+    # log(1/s_a - 1), the human over the agent wage bill, as a sum of logs: w_h*l_h may underflow.
+    log_bills = math.log(base.w_h) + math.log(base.l_h) - math.log(su.w_a_eff) - math.log(base.l_a)
+    direct = 1.0 if e == 0.0 else sigma / (sigma + e * (1.0 + _exp(log_bills)))
 
     return SemiElasticity(
         direct=direct, fd=fd, fd_forward=fd_forward, fd_backward=fd_backward, base=base

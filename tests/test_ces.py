@@ -97,6 +97,14 @@ def test_unit_cost_worked_values():
     assert unit_cost(doubled, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_unit_cost_with_a_subnormal_price_to_weight_quotient():
+    # w_a/beta is about 2.9e-323, a subnormal that keeps 2 digits; the value
+    # below was computed with 60-digit arithmetic.
+    ces = CesParams(A=1.634904105023118e229, alpha=1e-300, beta=2.0333592188702906e296, sigma=0.5)
+    cost = unit_cost(ces, 36857906243.11075, 5.8833770828793686e-27)
+    assert rel_err(cost, 7.3172603780292065e40) <= 1e-12
+
+
 def test_unit_cost_rejects_nonpositive_prices():
     with pytest.raises(InvalidInput):
         unit_cost(SYM, 0.0, 1.0)

@@ -267,10 +267,36 @@ def test_cobb_douglas_weights_whose_sum_overflows_exit_cleanly(tmp_path, command
 
 def test_statics_without_a_wage_root_names_the_wage_gap(tmp_path):
     # So little labor at any wage that the wage gap keeps one sign on the bracket.
-    s = make_scenario(ces=CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0), labor_supply=(1e-300, 1.0))
+    s = make_scenario(ces=CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=2.0), labor_supply=(1e-300, 1.0))
     code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
     assert code == 3 and out == ""
     assert "wage gap has no sign change" in err and "excess demand" not in err
+
+
+def test_statics_cobb_douglas_wage_beyond_the_search_bracket(tmp_path):
+    # The same scenario at sigma = 1 has its wage root near 6.2e285, which the
+    # closed form reaches without a search.
+    s = make_scenario(ces=CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0), labor_supply=(1e-300, 1.0))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    row = dict(zip(headers, map(float, rows[0])))
+    assert all(math.isfinite(v) for v in row.values())
+    assert 6e285 < row["w_h"] < 6.4e285
+
+
+@pytest.mark.parametrize("elasticity", [1.0, 0.0])
+@pytest.mark.parametrize("alpha, beta", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_statics_cobb_douglas_weights_beyond_float_ratio_exit_cleanly(tmp_path, alpha, beta, elasticity):
+    # beta/alpha (or its inverse) leaves the float range: one exponent underflows to 0.
+    s = make_scenario(ces=CesParams(A=1.0, alpha=alpha, beta=beta, sigma=1.0), labor_supply=(1.0, elasticity))
+    code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
+    assert code in (0, 3) and "Traceback" not in err
+    if code == 0:
+        _, rows = data_rows(out)
+        assert all(math.isfinite(float(v)) for v in rows[0])
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_shares_command(tmp_path):
@@ -279,6 +305,14 @@ def test_shares_command(tmp_path):
     headers, rows = data_rows(out)
     row = dict(zip(headers, rows[0]))
     assert float(row["s_labor"]) + float(row["s_compute"]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_shares_whose_output_value_overflows_exit_three(tmp_path):
+    # A ceiling of 2e200 times 2e200 hours: w*l + r*k is beyond the float range.
+    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0))
+    code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 3 and out == ""
+    assert err == "error: output value w_h*l_h + r_c*k_c lies outside the floating-point range\n"
 
 
 # --- formats, files, determinism ----------------------------------------------------

@@ -109,6 +109,14 @@ def test_statics_point_agent_labor_beyond_float_range_is_infeasible(scale):
         solve_statics_point(su)
 
 
+def test_cobb_douglas_human_labor_beyond_float_range_is_infeasible():
+    # The agents' exponent underflows to 0, so l_h = T/A = 1e-400 at a wage near 1e-100.
+    ces = CesParams(A=1e200, alpha=1e300, beta=1e-300, sigma=1.0)
+    su = StaticsSetup(ces=ces, l_eff_demand=1e-200, labor_supply=supply_curve(1e-300, 1.0), w_a_eff=1.0)
+    with pytest.raises(Infeasible, match=r"^human labor 0\.0 at wage .* lies outside the floating-point range$"):
+        solve_statics_point(su)
+
+
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("supply_elasticity", [0.25, 0.5, 1.0, 2.0])
 def test_statics_point_supply_evaluation_budget(monkeypatch, sigma, supply_elasticity):
@@ -126,7 +134,8 @@ def test_statics_point_supply_evaluation_budget(monkeypatch, sigma, supply_elast
         ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(0.8, supply_elasticity), w_a_eff=1.0
     )
     solve_statics_point(su)
-    assert calls <= 20
+    # Cobb-Douglas is closed form: one supply reading at the wage it gives.
+    assert calls == 1 if sigma == 1.0 else calls <= 20
 
 
 # --- semi_elasticity -----------------------------------------------------------
@@ -165,6 +174,7 @@ def test_semi_elasticity_fails_only_with_caw_errors(
         return
     fields = (se.direct, se.fd, se.fd_forward, se.fd_backward, se.base.w_h, se.base.l_h, se.base.l_a)
     assert all(math.isfinite(v) for v in fields)
+    assert abs(se.direct - se.fd) <= max(1e-4, 1e-3 * abs(se.fd))
 
 
 def test_inelastic_supply_gives_unit_passthrough_exactly():
@@ -178,7 +188,7 @@ def test_inelastic_supply_gives_unit_passthrough_exactly():
         assert abs(se.fd - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("sigma", [0.5, 2.0, 5.0])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0, 50.0])
 @pytest.mark.parametrize("supply_elasticity", [0.0, 0.5, 1.0, 2.0])
 def test_direct_formula_matches_finite_difference(sigma, supply_elasticity):
     ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=sigma)
