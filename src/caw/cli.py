@@ -176,15 +176,19 @@ def _check_flags(values: dict[str, float]) -> None:
         raise ValidationError(violations)
 
 
+def _finite_ceiling(ceiling: float) -> float:
+    if not math.isfinite(ceiling):
+        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
+    return ceiling
+
+
 def _cmd_bound(args) -> OutputTable:
     _check_flags(
         {"technology.lambda": args.lam, "technology.k": args.k, "policy.tau_c": args.tau, "policy.mu": args.mu}
     )
     tech = Technology(lam=args.lam, k=args.k)
     policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    ceiling = caw_ceiling(tech, args.rc, policy)
-    if not math.isfinite(ceiling):
-        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
+    ceiling = _finite_ceiling(caw_ceiling(tech, args.rc, policy))
     inputs = {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
     meta = standard_metadata(inputs_sha256(inputs), command="bound")
     return OutputTable(
@@ -236,6 +240,7 @@ def _cmd_trajectory(args) -> OutputTable:
         raise InvalidInput("--t-max must be >= 0")
     r_c = _rental_rate(s, args.rc)
     points = caw_trajectory(s.technology, r_c, times, s.policy)
+    _finite_ceiling(points[0][1])  # the grid starts at t = 0, where the ceiling is largest
     meta = standard_metadata(scenario_sha256(s), command="trajectory", r_c=r_c)
     return OutputTable(headers=("t", "ceiling"), rows=tuple(points), metadata=meta)
 

@@ -1,5 +1,6 @@
 """The bracketed root finder on log price shared by every solver: market
-clearing, the coupled fixed point and the comparative statics wage search.
+clearing, the coupled fixed point and the comparative statics search over
+the log input ratio log(l_a/l_h), which it treats as a log price.
 
 A search starts from a log-price bracket and, while the function has the
 same sign at both ends, widens it by the default bracket's width on each

@@ -24,22 +24,35 @@ check is visible.
 theorem on supply l_h = S0*w_h**e, the output target and the relative wage
 gives sigma*s_a / (sigma*s_a + e), s_a = 1/(1 + (w_h*l_h)/(w_a_eff*l_a)) being
 the agents' cost share. ``fd``, from two more solves, is the independent check.
+
+``solve_statics_point`` solves in the log input ratio v = log(l_a/l_h). There
+the relative wage is exact, log w_h = b + v/sigma with b = log(w_a_eff*alpha/beta),
+and supply and output leave one condition
+
+    g(v) = log S0 + e*(b + v/sigma) + M_p(v) - log(T/A) = 0,
+    M_p(v) = log((alpha + beta*exp(p*v))**(1/p)),
+
+with p = rho, or 1 for perfect substitutes; g rises in v. At Cobb-Douglas
+M is the line b_cd*v and log w_h = b + v; with fixed supply (e = 0) g is
+inverted in closed form; elsewhere the shared root finder searches v. Every
+branch ends in one tail: w_h from log w_h, l_h = supply(w_h) read once, and
+l_a = l_h*exp(v).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import constants
 from .bound import caw_ceiling
-from .ces import _branch, _cd_exponents, _exp, relative_wage
+from .ces import _branch, _cd_exponents, _exp, _log_power_mean
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import SWEEPABLE_PARAMS, clear_market, solve_batch  # SWEEPABLE_PARAMS is re-exported
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve
 from .model import PolicyLevers, Scenario, Technology
-from .roots import find_root
+from .roots import REACHABLE, find_root
 
 
 class StaticsSetup(NamedTuple):
@@ -90,37 +103,6 @@ class SweepRow(NamedTuple):
     error: str | None = None
 
 
-def _log_agent_labor(ces: CesParams, target: float) -> Callable[[float], float | None]:
-    """The function of l_h > 0 giving log l_a where ces_output(l_h, l_a) == target,
-    with every term that does not depend on l_h computed once.
-
-    It returns None when humans alone already meet or exceed the target (no
-    positive l_a solves the equality) and raises Infeasible when no finite
-    l_a can reach it (complements with too little human labor). Not defined
-    on the fixed-proportions and Cobb-Douglas branches, which callers take first.
-    """
-    A, alpha, beta, sigma = ces
-    if _branch(sigma) == "linear":
-        scaled = target / A
-        return lambda l_h: math.log(l_a) if (l_a := (scaled - alpha * l_h) / beta) > 0.0 else None
-
-    rho = ces.rho
-    x_target, log_alpha, log_beta = rho * math.log(target / A), math.log(alpha), math.log(beta)
-
-    def general(l_h: float) -> float | None:
-        x_human = log_alpha + rho * math.log(l_h)
-        if not x_target > x_human:
-            if rho < 0.0:
-                raise Infeasible("output target unreachable even as agent labor grows without bound")
-            return None
-        # log(exp(x_target) - exp(x_human)); unlike 1 - exp(d), -expm1(d) stays
-        # positive for every d < 0, however close humans alone come to the target.
-        log_gap = x_target + math.log(-math.expm1(x_human - x_target))
-        return (log_gap - log_beta) / rho
-
-    return general
-
-
 def _from_log(log_value: float, what: str = "agent labor") -> float:
     """The quantity from its log; Infeasible where no positive float holds it."""
     value = _exp(log_value)
@@ -133,16 +115,16 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     """Wage and quantities satisfying supply, output, and relative-wage conditions.
 
     The three conditions are l_h = supply(w_h), ces_output(l_h, l_a) =
-    l_eff_demand, and w_h/w_a_eff = relative_wage(l_h, l_a). The Cobb-Douglas
-    point and the fixed-quantity supply case are closed form, so the polar
-    pass-through result is exact. Elsewhere the inner solve for l_a given l_h
-    is closed form and the shared root finder searches w_h on the (monotone)
-    gap between the candidate and implied wage.
+    l_eff_demand, and w_h/w_a_eff = relative_wage(l_h, l_a). They are solved
+    as one condition in v = log(l_a/l_h) (see the module docstring): in closed
+    form at Cobb-Douglas and with fixed supply, by the shared root finder
+    elsewhere, and every branch builds the point from (log w_h, v) the same way.
 
     Raises InvalidInput at fixed proportions, where the relative-wage
-    condition does not pin w_h, Infeasible when the wage root sits where
-    humans alone meet the target, so agents are not employed, and
-    NoEquilibrium when the wage gap keeps one sign across the wage bracket.
+    condition does not pin w_h; Infeasible when humans alone meet the target,
+    so agents are not employed, when fixed supply cannot reach it, or when a
+    wage or quantity leaves the float range; and NoEquilibrium when the
+    search finds no root within reach.
     """
     if not (su.l_eff_demand > 0.0):
         raise InvalidInput(f"l_eff_demand must be > 0, got {su.l_eff_demand!r}")
@@ -153,69 +135,74 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     if not (su.labor_supply.scale > 0.0):
         raise InvalidInput(f"labor supply scale must be > 0, got {su.labor_supply.scale!r}")
     ces = su.ces
-    if _branch(ces.sigma) == "leontief":
+    branch = _branch(ces.sigma)
+    if branch == "leontief":
         raise InvalidInput(
             f"sigma {ces.sigma!r} is at or below the fixed-proportions threshold "
             f"{constants.SIGMA_LEONTIEF_THRESHOLD!r}, where the relative wage does not pin w_h"
         )
 
-    log_implied_base = math.log(su.w_a_eff) + math.log(ces.alpha) - math.log(ces.beta)
-    supply, sigma, e = su.labor_supply.quantity, ces.sigma, su.labor_supply.elasticity
-    if _branch(sigma) == "cobb_douglas":
-        # With exponents a + b = 1, log l_a = log l_h + log w_h - log_implied_base
-        # turns a*log l_h + b*log l_a = log(T/A) into a line in log w_h.
-        b = _cd_exponents(ces)[1]
-        if b + e == 0.0:  # b underflowed
+    A, alpha, beta, sigma = ces
+    e = su.labor_supply.elasticity
+    b = math.log(su.w_a_eff) + math.log(alpha) - math.log(beta)
+    # log(T/(A*S0)); with log l_h = log S0 + e*log w_h the output condition
+    # reads g(v) = e*log w_h + M(v) - log_target = 0.
+    log_target = math.log(su.l_eff_demand) - math.log(A) - math.log(su.labor_supply.scale)
+    if branch == "cobb_douglas":
+        # M(v) = b_cd*v with exponents a + b_cd = 1, and log w_h = b + v.
+        b_cd = _cd_exponents(ces)[1]
+        if b_cd + e == 0.0:  # b_cd underflowed
             raise Infeasible("agents' Cobb-Douglas exponent underflows to 0; with fixed supply no wage fits")
-        log_target = math.log(su.l_eff_demand) - math.log(ces.A) - math.log(su.labor_supply.scale)
-        log_wh = (b * log_implied_base + log_target) / (b + e)
-        w_h = _from_log(log_wh, "human wage")
-        l_h = supply(w_h)
-        if not 0.0 < l_h < math.inf:
-            raise Infeasible(f"human labor {l_h!r} at wage {w_h!r} lies outside the floating-point range")
-        return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(math.log(l_h) + log_wh - log_implied_base))
+        v = (log_target - e * b) / (b_cd + e)
+        log_wh = b + v
+    else:
+        # M(v) = log((alpha + beta*exp(p*v))**(1/p)), p = rho, or 1 for perfect substitutes.
+        p = 1.0 if branch == "linear" else ces.rho
+        if e == 0.0:
+            # M(v) = log_target gives beta*exp(p*v) = exp(p*log_target) - alpha. Where
+            # x = expm1(p*v) is moderate, solve it in _log_power_mean's compensated
+            # form, p*v = log1p(x); where x is near -1 or large, in logs (q < 1
+            # keeps expm1 finite).
+            total = alpha + beta
+            q = p * log_target - math.log(total)
+            if q < 1.0 and -0.5 < (x := math.expm1(q) * (total / beta)) < math.inf:
+                v = math.log1p(x) / p
+            else:
+                d = math.log(alpha) - p * log_target
+                if not d < 0.0:
+                    raise Infeasible(
+                        "fixed human supply exceeds the effective-labor demand target" if p > 0.0
+                        else "output target unreachable even as agent labor grows without bound"
+                    )
+                v = (p * log_target + math.log(-math.expm1(d)) - math.log(beta)) / p
+        else:
 
-    log_agent_labor = _log_agent_labor(ces, su.l_eff_demand)
-    if e == 0.0:
-        l_h = su.labor_supply.scale
-        log_la = log_agent_labor(l_h)
-        if log_la is None:
-            raise Infeasible("fixed human supply exceeds the effective-labor demand target")
-        l_a = _from_log(log_la)
-        return StaticsPoint(w_h=su.w_a_eff * relative_wage(ces, l_h, l_a), l_h=l_h, l_a=l_a)
+            def g(v: float) -> float:
+                return e * (b + v / sigma) + _log_power_mean(alpha, 0.0, beta, v, p) - log_target
 
-    def gap(w: float) -> float:
-        # log(w / (w_a_eff * relative_wage)) kept in logs so nothing overflows.
-        l_h = supply(w)
-        if l_h == 0.0:
-            return -1.0  # too few humans: implied wage unbounded above
-        try:
-            log_la = log_agent_labor(l_h)
-        except Infeasible:
-            return -1.0
-        if log_la is None:
-            return 1.0  # humans oversupplied: implied wage collapses to zero
-        return math.log(w) - log_implied_base + (math.log(l_h) - log_la) / sigma
+            tol = constants.STATICS_WAGE_REL_TOL
+            try:
+                report = find_root(lambda r: g(math.log(r)), abs_tol=tol, rel_tol=tol)
+            except NoEquilibrium:
+                report = None  # raised below, so the error holds no frames of the search
+            if report is None:
+                if g(REACHABLE[0]) > 0.0:
+                    raise Infeasible(
+                        "human labor alone meets the effective-labor demand target at every wage "
+                        "in reach, so agents are not employed and the pass-through is undefined"
+                    )
+                raise NoEquilibrium(
+                    "the human wage gap has no sign change on the wage bracket: no wage in range "
+                    "matches labor supply to the effective-labor demand target"
+                )
+            v = math.log(report.root)
+        log_wh = b + v / sigma
 
-    tol = constants.STATICS_WAGE_REL_TOL
-    try:
-        report = find_root(gap, abs_tol=tol, rel_tol=tol)
-    except NoEquilibrium as exc:
-        raise NoEquilibrium(
-            "the human wage gap has no sign change on the wage bracket: no wage in range "
-            "matches labor supply to the effective-labor demand target"
-        ) from exc
-    w_h = report.root
-    if report.residual > tol and any(
-        abs(gap(w_h * math.exp(step))) == 1.0 for step in (-2.0 * tol, 2.0 * tol)
-    ):
-        # The search closed on the jump to a +-1 sentinel, not on a zero crossing.
-        raise Infeasible(
-            "human labor alone meets the effective-labor demand target at the wage root, "
-            "so agents are not employed and the pass-through is undefined"
-        )
+    w_h = _from_log(log_wh, "human wage")
     l_h = su.labor_supply.quantity(w_h)
-    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(log_agent_labor(l_h)))
+    if not 0.0 < l_h < math.inf:
+        raise Infeasible(f"human labor {l_h!r} at wage {w_h!r} lies outside the floating-point range")
+    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(math.log(l_h) + v))
 
 
 def semi_elasticity(

@@ -156,6 +156,13 @@ def test_trajectory_starts_at_the_policy_adjusted_ceiling(tmp_path):
     assert rows[0] == ["0.0", ceiling]
 
 
+def test_trajectory_ceiling_beyond_float_range_exits_three(tmp_path):
+    s = make_scenario(lam=1e200, k=1e200)
+    code, out, err = run(["trajectory", "--scenario", write_scenario(tmp_path, s), "--t-max", "1", "--steps", "2"])
+    assert code == 3 and out == ""
+    assert err == "error: wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range\n"
+
+
 def test_sweep_lambda_grid(tmp_path):
     code, out, _ = run(
         [
@@ -236,8 +243,8 @@ def test_statics_linear_corner_exits_three(tmp_path):
 
 @pytest.mark.parametrize("elasticity", [40.0, 400.0])
 def test_statics_steep_labor_supply_exits_cleanly(tmp_path, elasticity):
-    # Human supply underflows to zero at the bottom of the wage bracket and
-    # overflows at the top; the wage gap keeps its sign at both ends.
+    # w_h**e over- and underflows across the search range; the search works
+    # in logs, so it still closes on a finite point.
     s = make_scenario(labor_supply=(1.0, elasticity))
     code, out, err = run(["statics", "--scenario", write_scenario(tmp_path, s)])
     assert code == 0, err
@@ -297,6 +304,30 @@ def test_statics_cobb_douglas_weights_beyond_float_ratio_exit_cleanly(tmp_path, 
         assert all(math.isfinite(float(v)) for v in rows[0])
     else:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ces, scale, demand, rc",
+    [
+        (
+            CesParams(1.5396081359660912e-40, 8.189438856809172e-259, 2.6779841750612433e-246, 0.40061604902021253),
+            1.29203656123128e196, "5.1465178749135175e-46", "1.91063042759433e-226",
+        ),
+        (
+            CesParams(6.428037833051523e210, 2.0155414938591437e141, 5.1706326291420185e-273, 0.000672384816353679),
+            2.791065736544285e-37, "2.3127897002476593e164", "7.675767479891358e-40",
+        ),
+    ],
+    ids=["complements", "near-fixed-proportions"],
+)
+def test_statics_fixed_supply_beyond_float_range_exits_three(tmp_path, ces, scale, demand, rc):
+    # Fixed human supply; k = 1, so --rc is the agent wage. These once raised a
+    # ValueError traceback (exit 1) and printed a nan row (exit 0).
+    s = make_scenario(ces=ces, labor_supply=(scale, 0.0))
+    argv = ["statics", "--scenario", write_scenario(tmp_path, s), "--demand", demand, "--rc", rc]
+    code, out, err = run(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "floating-point range" in err
 
 
 def test_shares_command(tmp_path):

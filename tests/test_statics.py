@@ -28,8 +28,9 @@ from caw import (
     validate_scenario,
     wage_bill_response,
 )
-from caw import constants, markets
+from caw import constants, markets, statics
 from caw.model import IsoElasticCurve
+from caw.roots import find_root
 from conftest import make_scenario, rel_err, with_field
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
@@ -91,7 +92,7 @@ def test_statics_point_rejects_fixed_proportions():
 
 def test_statics_point_linear_corner_is_infeasible():
     # Perfect substitutes: humans alone meet the target at w_h = 2, below the
-    # agent wage 3, so the wage gap only changes sign where agents leave.
+    # agent wage 3, so no input ratio in reach employs agents.
     ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=1e7)
     su = StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(1.0, 1.0), w_a_eff=3.0)
     with pytest.raises(Infeasible, match="agents are not employed"):
@@ -117,25 +118,113 @@ def test_cobb_douglas_human_labor_beyond_float_range_is_infeasible():
         solve_statics_point(su)
 
 
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0])
+# The ranges of perfbench's statics_grid pool.
+_grid_positive = st.floats(min_value=0.4, max_value=2.5)
+_grid_weight = st.floats(min_value=0.2, max_value=0.8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    A=st.floats(min_value=0.5, max_value=2.0),
+    alpha=_grid_weight,
+    beta=_grid_weight,
+    demand=_grid_positive,
+    scale=_grid_positive,
+    w_a_eff=_grid_positive,
+)
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0, 1e7])
 @pytest.mark.parametrize("supply_elasticity", [0.25, 0.5, 1.0, 2.0])
-def test_statics_point_supply_evaluation_budget(monkeypatch, sigma, supply_elasticity):
-    calls = 0
+def test_statics_point_supply_evaluation_budget(
+    sigma, supply_elasticity, A, alpha, beta, demand, scale, w_a_eff
+):
+    reports, supply_reads = [], 0
     quantity = IsoElasticCurve.quantity
 
+    def spy(*args, **kwargs):
+        reports.append(find_root(*args, **kwargs))
+        return reports[-1]
+
     def counted(curve, price):
-        nonlocal calls
-        calls += 1
+        nonlocal supply_reads
+        supply_reads += 1
         return quantity(curve, price)
 
-    monkeypatch.setattr(IsoElasticCurve, "quantity", counted)
-    ces = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=sigma)
     su = StaticsSetup(
-        ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(0.8, supply_elasticity), w_a_eff=1.0
+        ces=CesParams(A=A, alpha=alpha, beta=beta, sigma=sigma),
+        l_eff_demand=demand,
+        labor_supply=supply_curve(scale, supply_elasticity),
+        w_a_eff=w_a_eff,
     )
-    solve_statics_point(su)
-    # Cobb-Douglas is closed form: one supply reading at the wage it gives.
-    assert calls == 1 if sigma == 1.0 else calls <= 20
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statics, "find_root", spy)
+        mp.setattr(IsoElasticCurve, "quantity", counted)
+        try:
+            solve_statics_point(su)
+        except CawError:
+            return
+    # One supply reading on every branch; Cobb-Douglas is closed form and makes no search.
+    assert supply_reads == 1
+    if sigma == 1.0:
+        assert reports == []
+    else:
+        assert len(reports) == 1 and reports[0].evaluations <= 20
+
+
+def _near_one(sigma_and_alpha):
+    # Within 1e-7 of sigma = 1 the weights must sum to one, or (alpha + beta)**(1/rho)
+    # puts the output target out of reach.
+    sigma, alpha = sigma_and_alpha
+    return sigma, alpha, 1.0 - alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ces=st.one_of(
+        st.tuples(st.floats(min_value=0.2, max_value=20.0), _grid_weight, _grid_weight),
+        st.tuples(st.floats(min_value=1e6, max_value=1e8), _grid_weight, _grid_weight),
+        st.tuples(st.just(1.0), _grid_weight, _grid_weight),
+        st.tuples(
+            st.floats(min_value=2e-9, max_value=1e-7).flatmap(lambda d: st.sampled_from([1.0 - d, 1.0 + d])),
+            _grid_weight,
+        ).map(_near_one),
+    ),
+    A=st.floats(min_value=0.5, max_value=2.0),
+    demand=_grid_positive,
+    scale=_grid_positive,
+    elasticity=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+    w_a_eff=_grid_positive,
+)
+def test_solved_statics_points_meet_all_three_conditions(ces, A, demand, scale, elasticity, w_a_eff):
+    sigma, alpha, beta = ces
+    su = StaticsSetup(
+        ces=CesParams(A=A, alpha=alpha, beta=beta, sigma=sigma),
+        l_eff_demand=demand,
+        labor_supply=supply_curve(scale, elasticity),
+        w_a_eff=w_a_eff,
+    )
+    try:
+        point = solve_statics_point(su)
+    except CawError:
+        return
+    assert rel_err(point.l_h, su.labor_supply.quantity(point.w_h)) < 1e-10
+    assert rel_err(ces_output(su.ces, point.l_h, point.l_a), su.l_eff_demand) < 1e-10
+    assert rel_err(point.w_h / su.w_a_eff, relative_wage(su.ces, point.l_h, point.l_a)) < 1e-10
+
+
+def test_statics_point_with_tiny_agent_labor_is_solved():
+    # At sigma 17.6 the agents fill the last 1e-20 of the target; a search in the
+    # wage closed on humans alone and called the point infeasible.
+    su = StaticsSetup(
+        ces=CesParams(1.5971896067000755, 0.6442947000930006, 0.48798188354020033, 17.553964246307117),
+        l_eff_demand=0.5769412664884132,
+        labor_supply=supply_curve(1.2634195564484787, 0.5),
+        w_a_eff=2.0904200583252273,
+    )
+    point = solve_statics_point(su)
+    assert 1.0e-20 < point.l_a < 1.2e-20
+    assert rel_err(point.l_h, su.labor_supply.quantity(point.w_h)) < 1e-10
+    assert rel_err(ces_output(su.ces, point.l_h, point.l_a), su.l_eff_demand) < 1e-10
+    assert rel_err(point.w_h / su.w_a_eff, relative_wage(su.ces, point.l_h, point.l_a)) < 1e-10
 
 
 # --- semi_elasticity -----------------------------------------------------------
@@ -175,6 +264,37 @@ def test_semi_elasticity_fails_only_with_caw_errors(
     fields = (se.direct, se.fd, se.fd_forward, se.fd_backward, se.base.w_h, se.base.l_h, se.base.l_a)
     assert all(math.isfinite(v) for v in fields)
     assert abs(se.direct - se.fd) <= max(1e-4, 1e-3 * abs(se.fd))
+
+
+_anywhere = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    A=_anywhere,
+    alpha=_anywhere,
+    beta=_anywhere,
+    sigma=_anywhere,
+    demand=_anywhere,
+    scale=_anywhere,
+    elasticity=st.one_of(st.just(0.0), _anywhere),
+    w_a_eff=_anywhere,
+)
+def test_semi_elasticity_over_the_float_range_fails_only_with_caw_errors(
+    A, alpha, beta, sigma, demand, scale, elasticity, w_a_eff
+):
+    su = StaticsSetup(
+        ces=CesParams(A=A, alpha=alpha, beta=beta, sigma=sigma),
+        l_eff_demand=demand,
+        labor_supply=supply_curve(scale, elasticity),
+        w_a_eff=w_a_eff,
+    )
+    try:
+        se = semi_elasticity(su)
+    except CawError:
+        return
+    fields = (se.direct, se.fd, se.fd_forward, se.fd_backward, se.base.w_h, se.base.l_h, se.base.l_a)
+    assert all(math.isfinite(v) for v in fields)
 
 
 def test_inelastic_supply_gives_unit_passthrough_exactly():
