@@ -6,6 +6,8 @@ ceiling lam * k * r_c, CES cost duality, compute- and capped-labor-market
 equilibria, comparative statics, and a reference calibration.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bound import Allocation, agent_wage, caw_ceiling, classify_regime, linear_costmin
 from .calibration import CalibrationCell, factor_shares, occupation_wage, table1
 from .ces import (
@@ -37,6 +39,7 @@ from .markets import (
     solve_scenario,
 )
 from .model import (
+    SWEEPABLE_PARAMS,
     CesParams,
     CurveKind,
     EquilibriumResult,
@@ -55,7 +58,6 @@ from .model import (
 )
 from .scenario_io import OutputTable, emit_scenario, emit_table, parse_scenario
 from .statics import (
-    SWEEPABLE_PARAMS,
     SemiElasticity,
     StaticsPoint,
     StaticsSetup,
@@ -72,77 +74,9 @@ from .statics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "Technology",
-    "CesParams",
-    "IsoElasticCurve",
-    "CurveKind",
-    "FactorPrices",
-    "PolicyLevers",
-    "TaskProfile",
-    "Scenario",
-    "EquilibriumResult",
-    "FactorShares",
-    "Regime",
-    "Violation",
-    "validate_scenario",
-    "supply_curve",
-    "demand_curve",
-    # ces kernel
-    "DemandPair",
-    "ces_output",
-    "unit_cost",
-    "conditional_demands",
-    "relative_wage",
-    "leontief_requirements",
-    # wage bound
-    "Allocation",
-    "agent_wage",
-    "caw_ceiling",
-    "linear_costmin",
-    "classify_regime",
-    # markets
-    "ClearingPoint",
-    "clear_market",
-    "solve_compute_market",
-    "solve_capped_labor_market",
-    "solve_coupled",
-    "solve_scenario",
-    # statics
-    "StaticsSetup",
-    "StaticsPoint",
-    "SemiElasticity",
-    "WageBillState",
-    "WageBillResponse",
-    "SweepRow",
-    "SWEEPABLE_PARAMS",
-    "solve_statics_point",
-    "semi_elasticity",
-    "caw_trajectory",
-    "wage_bill_response",
-    "sweep",
-    "grid",
-    # calibration
-    "CalibrationCell",
-    "table1",
-    "occupation_wage",
-    "factor_shares",
-    # io
-    "OutputTable",
-    "parse_scenario",
-    "emit_scenario",
-    "emit_table",
-    # errors
-    "CawError",
-    "InvalidInput",
-    "ParseError",
-    "ValidationError",
-    "SolverError",
-    "NoEquilibrium",
-    "NoConvergence",
-    "DegenerateCeiling",
-    "Infeasible",
-    "CeilingNotBinding",
+# The public surface: every name the imports above bind, and the version. The
+# submodules they import are bound here too, as attributes, but not exported.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SolverError
 from .model import PolicyLevers, Regime, Technology
 
 
@@ -63,6 +63,13 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     if policy is None:
         policy = PolicyLevers()
     return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu * r_c
+
+
+def finite_ceiling(ceiling: float) -> float:
+    """``ceiling`` itself; SolverError where it overflowed the float range."""
+    if not math.isfinite(ceiling):
+        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
+    return ceiling
 
 
 def linear_costmin(

@@ -76,8 +76,12 @@ def _cd_exponents(ces: CesParams) -> tuple[float, float]:
 
 
 def _require_positive_params(ces: CesParams) -> None:
-    for name, value in (("A", ces.A), ("alpha", ces.alpha), ("beta", ces.beta), ("sigma", ces.sigma)):
-        if not (value > 0.0) or not math.isfinite(value):
+    A, alpha, beta, sigma = ces
+    # Each parameter in (0, inf), in one chained comparison; NaN fails it.
+    if 0.0 < A < math.inf > alpha > 0.0 < beta < math.inf > sigma > 0.0:
+        return
+    for name, value in zip(CesParams._fields, ces):
+        if not 0.0 < value < math.inf:
             raise InvalidInput(f"CES parameter {name} must be finite and > 0, got {value!r}")
 
 

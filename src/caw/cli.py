@@ -26,12 +26,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bound import caw_ceiling
+from .bound import caw_ceiling, finite_ceiling
 from .calibration import factor_shares, table1
-from .ces import conditional_demands, unit_cost
+from .ces import DemandPair, conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
-from .model import CesParams, EquilibriumResult, PolicyLevers, Scenario, Technology, field_violation
+from .model import SWEEPABLE_PARAMS, CesParams, EquilibriumResult, FactorShares, PolicyLevers, Scenario
+from .model import Technology, field_violation
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -40,7 +41,7 @@ from .scenario_io import (
     scenario_sha256,
     standard_metadata,
 )
-from .statics import SWEEPABLE_PARAMS, StaticsSetup, caw_trajectory, grid, semi_elasticity, sweep
+from .statics import SemiElasticity, StaticsPoint, StaticsSetup, caw_trajectory, grid, semi_elasticity, sweep
 
 def finite_float(text: str) -> float:
     """Argparse type for every float flag: a finite number, else exit 2."""
@@ -176,19 +177,13 @@ def _check_flags(values: dict[str, float]) -> None:
         raise ValidationError(violations)
 
 
-def _finite_ceiling(ceiling: float) -> float:
-    if not math.isfinite(ceiling):
-        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
-    return ceiling
-
-
 def _cmd_bound(args) -> OutputTable:
     _check_flags(
         {"technology.lambda": args.lam, "technology.k": args.k, "policy.tau_c": args.tau, "policy.mu": args.mu}
     )
     tech = Technology(lam=args.lam, k=args.k)
     policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    ceiling = _finite_ceiling(caw_ceiling(tech, args.rc, policy))
+    ceiling = finite_ceiling(caw_ceiling(tech, args.rc, policy))
     inputs = {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
     meta = standard_metadata(inputs_sha256(inputs), command="bound")
     return OutputTable(
@@ -205,11 +200,7 @@ def _cmd_ces(args) -> OutputTable:
     pair = conditional_demands(ces, args.wh, args.wa)
     inputs = {"command": "ces", **ces._asdict(), "wh": args.wh, "wa": args.wa}
     meta = standard_metadata(inputs_sha256(inputs), command="ces")
-    return OutputTable(
-        headers=("unit_cost", "l_h", "l_a"),
-        rows=((cost, pair.l_h, pair.l_a),),
-        metadata=meta,
-    )
+    return OutputTable(headers=("unit_cost", *DemandPair._fields), rows=((cost, *pair),), metadata=meta)
 
 
 def _cmd_solve(args) -> OutputTable:
@@ -240,7 +231,7 @@ def _cmd_trajectory(args) -> OutputTable:
         raise InvalidInput("--t-max must be >= 0")
     r_c = _rental_rate(s, args.rc)
     points = caw_trajectory(s.technology, r_c, times, s.policy)
-    _finite_ceiling(points[0][1])  # the grid starts at t = 0, where the ceiling is largest
+    finite_ceiling(points[0][1])  # the grid starts at t = 0, where the ceiling is largest
     meta = standard_metadata(scenario_sha256(s), command="trajectory", r_c=r_c)
     return OutputTable(headers=("t", "ceiling"), rows=tuple(points), metadata=meta)
 
@@ -248,21 +239,15 @@ def _cmd_trajectory(args) -> OutputTable:
 def _cmd_statics(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     r_c = _rental_rate(s, args.rc)
-    setup = StaticsSetup(
-        ces=s.ces,
-        l_eff_demand=args.demand,
-        labor_supply=s.labor_supply_ts,
-        w_a_eff=s.technology.k * r_c,
-    )
+    w_a_eff = s.technology.k * r_c
+    if w_a_eff == math.inf:
+        raise SolverError("agent wage k*r_c lies outside the floating-point range")
+    setup = StaticsSetup(ces=s.ces, l_eff_demand=args.demand, labor_supply=s.labor_supply_ts, w_a_eff=w_a_eff)
     se = semi_elasticity(setup, rel_step=args.rel_step)
     meta = standard_metadata(scenario_sha256(s), command="statics", r_c=r_c)
-    return OutputTable(
-        headers=("w_h", "l_h", "l_a", "direct", "fd", "fd_forward", "fd_backward"),
-        rows=(
-            (se.base.w_h, se.base.l_h, se.base.l_a, se.direct, se.fd, se.fd_forward, se.fd_backward),
-        ),
-        metadata=meta,
-    )
+    # SemiElasticity's fields end with its base point, written first, field by field.
+    headers = (*StaticsPoint._fields, *SemiElasticity._fields[:-1])
+    return OutputTable(headers=headers, rows=((*se.base, *se[:-1]),), metadata=meta)
 
 
 def _cmd_shares(args) -> OutputTable:
@@ -273,11 +258,7 @@ def _cmd_shares(args) -> OutputTable:
         raise SolverError("output value w_h*l_h + r_c*k_c lies outside the floating-point range")
     shares = factor_shares(res.w_h_star, res.l_h_star, res.r_c_star, res.k_c_star, y)
     meta = standard_metadata(scenario_sha256(s), command="shares", mode=args.mode)
-    return OutputTable(
-        headers=("s_labor", "s_compute", "y"),
-        rows=((shares.s_labor, shares.s_compute, y),),
-        metadata=meta,
-    )
+    return OutputTable(headers=(*FactorShares._fields, "y"), rows=((*shares, y),), metadata=meta)
 
 
 _HANDLERS = {

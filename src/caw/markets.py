@@ -12,7 +12,13 @@ either mode is a batch of one, and a one-parameter sweep computes the stages
 its parameter does not touch once for the whole grid. A capped row takes
 the compute-market price, a coupled row finds its fixed-point rate, and
 both place the labor market against the ceiling with the same
-arithmetic.
+arithmetic. A sweep may vary only the fields a solve reads,
+:data:`caw.model.SWEEPABLE_PARAMS`, and a row whose ceiling leaves the float
+range is a SolverError row (:func:`caw.bound.finite_ceiling`).
+
+Curves meet one rule, :func:`caw.model.require_curve`: a solve validates its
+scenario once, which holds every curve to it, and :func:`clear_market`
+checks its two curves with it.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
 log price, by default over the initial bracket [1e-9, 1e9] expanded
@@ -34,11 +40,12 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import caw_ceiling
+from .bound import caw_ceiling, finite_ceiling
 from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     FIELDS,
     SECTIONS,
+    SWEEPABLE_PARAMS,
     CurveKind,
     EquilibriumResult,
     IsoElasticCurve,
@@ -47,6 +54,7 @@ from .model import (
     Scenario,
     Technology,
     field_violation,
+    require_curve,
     validate_scenario,
 )
 from .roots import DEFAULT_BRACKET, REACHABLE, find_root
@@ -61,15 +69,8 @@ class ClearingPoint(NamedTuple):
     residual: float
 
 
-def _check_kinds(supply: IsoElasticCurve, demand: IsoElasticCurve) -> None:
-    if supply.kind is not CurveKind.SUPPLY:
-        raise InvalidInput("supply argument is not a supply curve")
-    if demand.kind is not CurveKind.DEMAND:
-        raise InvalidInput("demand argument is not a demand curve")
-
-
 def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
-    """The closed-form price of :func:`clear_market`, curve kinds unchecked;
+    """The closed-form price of :func:`clear_market`, curves unchecked;
     1.0 when both curves are perfectly inelastic with equal scales."""
     total_elasticity = supply.elasticity + demand.elasticity
     if total_elasticity == 0.0:
@@ -99,9 +100,11 @@ def clear_market(
 
     When both curves are perfectly inelastic the quantity is pinned and any
     price clears: equal scales return the unit-price convention, unequal
-    scales have no equilibrium.
+    scales have no equilibrium. Curves outside :func:`caw.model.require_curve`
+    raise InvalidInput.
     """
-    _check_kinds(supply, demand)
+    require_curve(supply, CurveKind.SUPPLY, "supply")
+    require_curve(demand, CurveKind.DEMAND, "demand")
     if method == "closed_form" or supply.elasticity + demand.elasticity == 0.0:
         price = _clearing_price(supply, demand)
         quantity = supply.quantity(price)
@@ -140,17 +143,8 @@ def solve_compute_market(s: Scenario) -> ClearingPoint:
     return clear_market(s.compute_supply, _exogenous(s.compute_demand_exogenous))
 
 
-# The scenario parts a solve reads, in SECTIONS order: all but the CES
-# parameters and the output price.
-_PARTS = tuple(section.attr for section in SECTIONS if section.key not in ("ces", "output_price"))
-
-# The fields a solve reads, by dotted document name (caw.model.FIELDS): the
-# only ones a sweep may vary. No solve reads technology.g, which only moves
-# the ceiling over time (caw.statics.caw_trajectory).
-SWEEPABLE_PARAMS: tuple[str, ...] = tuple(
-    f.path for section in SECTIONS if section.attr in _PARTS for f in section.fields
-    if f.path != "technology.g"
-)
+# The scenario parts a solve reads, in SECTIONS order: those holding a sweepable field.
+_PARTS = tuple(sec.attr for sec in SECTIONS if any(f.path in SWEEPABLE_PARAMS for f in sec.fields))
 
 
 def _swept_holder(s: Scenario, param: str):
@@ -207,12 +201,15 @@ def _place_at_ceiling(
     uncapped clearing wage, or the error clearing raised, read only when the
     ceiling is positive; ``slack`` holds both curves' quantities at it, if
     known. A zero ceiling, even one that underflows at a positive rate,
-    binds; the result reports ``r_c_star`` as given.
+    binds; the result reports ``r_c_star`` as given. A positive ceiling
+    beyond the float range raises SolverError (:func:`caw.bound.finite_ceiling`),
+    after a clearing error.
     """
     ceiling = factor * r_c_star if r_c_star > 0.0 else caw_ceiling(tech, r_c_star, policy)
     if ceiling != 0.0:
         if isinstance(w_clear, CawError):
             raise w_clear.with_traceback(None)
+        finite_ceiling(ceiling)
         if w_clear <= ceiling:
             l_h, l_d = slack or (supply.quantity(w_clear), demand.quantity(w_clear))
             # classify_regime's band test; w_clear cannot lie above the ceiling here.

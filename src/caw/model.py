@@ -292,8 +292,24 @@ def _section(key: str, attr: str, kind, *specs, nullable: bool = False) -> Secti
     return Section(key, attr, kind, tuple(fields), nullable)
 
 
+# The rule every curve's fields meet, in field order: a scale > 0 and an elasticity >= 0.
+_CURVE_RULE = (("scale", _POSITIVE), ("elasticity", _NONNEGATIVE))
+
+
 def _curve_fields(scale: float, elasticity: float) -> tuple:
-    return ("scale", "scale", scale, _POSITIVE), ("elasticity", "elasticity", elasticity, _NONNEGATIVE)
+    return tuple((key, key, default, rule) for (key, rule), default in zip(_CURVE_RULE, (scale, elasticity)))
+
+
+def require_curve(curve: IsoElasticCurve, kind: CurveKind, name: str) -> None:
+    """Raise InvalidInput unless ``curve`` is a ``kind`` curve whose fields are
+    finite and meet :data:`_CURVE_RULE`, the rule a scenario's curves meet;
+    ``name`` is the argument's name in the message."""
+    if curve.kind is not kind:
+        raise InvalidInput(f"{name} must be a {kind.value} curve")
+    for (key, (bound, inclusive, _)), value in zip(_CURVE_RULE, curve[1:]):
+        if not (value < math.inf and (value > bound or inclusive and value == bound)):
+            relation = ">=" if inclusive else ">"
+            raise InvalidInput(f"{name} {key} must be finite and {relation} {bound:g}, got {value!r}")
 
 
 # The scenario document schema, in document order (also the order of
@@ -322,6 +338,14 @@ SECTIONS: tuple[Section, ...] = (
 
 # Every field of SECTIONS, by its dotted document name.
 FIELDS: dict[str, Field] = {f.path: f for section in SECTIONS for f in section.fields}
+
+# The fields a solve reads, by dotted document name: the only ones a sweep
+# may vary. No solve reads the CES parameters or the output price, nor
+# technology.g, which only moves the ceiling over time (caw.statics.caw_trajectory).
+SWEEPABLE_PARAMS: tuple[str, ...] = tuple(
+    f.path for section in SECTIONS if section.key not in ("ces", "output_price") for f in section.fields
+    if f.path != "technology.g"
+)
 
 
 def field_violation(path: str, value) -> Violation | None:

@@ -1,6 +1,10 @@
 """Comparative statics: wage pass-through from the effective agent wage,
 ceiling time trajectories, wage-vs-wage-bill analysis, and generic scenario
-sweeps.
+sweeps over the fields a solve reads (:data:`caw.model.SWEEPABLE_PARAMS`).
+
+Inputs are held to the scenario rules, else InvalidInput: each curve
+argument to :func:`caw.model.require_curve`, and a statics setup's CES
+parameters, effective-labor demand and agent wage to finite values > 0.
 
 The pass-through identity checked here is
 
@@ -47,11 +51,11 @@ from typing import NamedTuple, Sequence
 
 from . import constants
 from .bound import caw_ceiling
-from .ces import _branch, _cd_exponents, _exp, _log_power_mean
+from .ces import _branch, _cd_exponents, _exp, _log_power_mean, _require_positive_params
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import SWEEPABLE_PARAMS, clear_market, solve_batch  # SWEEPABLE_PARAMS is re-exported
+from .markets import clear_market, solve_batch
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve
-from .model import PolicyLevers, Scenario, Technology
+from .model import PolicyLevers, Scenario, Technology, require_curve
 from .roots import REACHABLE, find_root
 
 
@@ -120,34 +124,32 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     form at Cobb-Douglas and with fixed supply, by the shared root finder
     elsewhere, and every branch builds the point from (log w_h, v) the same way.
 
-    Raises InvalidInput at fixed proportions, where the relative-wage
+    Raises InvalidInput for a setup outside the scenario rules (see the
+    module docstring) and at fixed proportions, where the relative-wage
     condition does not pin w_h; Infeasible when humans alone meet the target,
     so agents are not employed, when fixed supply cannot reach it, or when a
     wage or quantity leaves the float range; and NoEquilibrium when the
     search finds no root within reach.
     """
-    if not (su.l_eff_demand > 0.0):
-        raise InvalidInput(f"l_eff_demand must be > 0, got {su.l_eff_demand!r}")
-    if not (su.w_a_eff > 0.0):
-        raise InvalidInput(f"w_a_eff must be > 0, got {su.w_a_eff!r}")
-    if su.labor_supply.kind is not CurveKind.SUPPLY:
-        raise InvalidInput("labor_supply must be a supply curve")
-    if not (su.labor_supply.scale > 0.0):
-        raise InvalidInput(f"labor supply scale must be > 0, got {su.labor_supply.scale!r}")
-    ces = su.ces
-    branch = _branch(ces.sigma)
+    ces, demand, supply, w_a_eff = su
+    for name, value in (("l_eff_demand", demand), ("w_a_eff", w_a_eff)):
+        if not 0.0 < value < math.inf:  # NaN or a value <= 0 reports the lower bound alone
+            raise InvalidInput(f"{name} must be {'finite' if value == math.inf else '> 0'}, got {value!r}")
+    require_curve(supply, CurveKind.SUPPLY, "labor_supply")
+    _require_positive_params(ces)
+    A, alpha, beta, sigma = ces
+    branch = _branch(sigma)
     if branch == "leontief":
         raise InvalidInput(
-            f"sigma {ces.sigma!r} is at or below the fixed-proportions threshold "
+            f"sigma {sigma!r} is at or below the fixed-proportions threshold "
             f"{constants.SIGMA_LEONTIEF_THRESHOLD!r}, where the relative wage does not pin w_h"
         )
 
-    A, alpha, beta, sigma = ces
-    e = su.labor_supply.elasticity
-    b = math.log(su.w_a_eff) + math.log(alpha) - math.log(beta)
+    e = supply.elasticity
+    b = math.log(w_a_eff) + math.log(alpha) - math.log(beta)
     # log(T/(A*S0)); with log l_h = log S0 + e*log w_h the output condition
     # reads g(v) = e*log w_h + M(v) - log_target = 0.
-    log_target = math.log(su.l_eff_demand) - math.log(A) - math.log(su.labor_supply.scale)
+    log_target = math.log(demand) - math.log(A) - math.log(supply.scale)
     if branch == "cobb_douglas":
         # M(v) = b_cd*v with exponents a + b_cd = 1, and log w_h = b + v.
         b_cd = _cd_exponents(ces)[1]
@@ -199,7 +201,7 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
         log_wh = b + v / sigma
 
     w_h = _from_log(log_wh, "human wage")
-    l_h = su.labor_supply.quantity(w_h)
+    l_h = supply.quantity(w_h)
     if not 0.0 < l_h < math.inf:
         raise Infeasible(f"human labor {l_h!r} at wage {w_h!r} lies outside the floating-point range")
     return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(math.log(l_h) + v))
@@ -218,17 +220,19 @@ def semi_elasticity(
     if not (0.0 < rel_step <= 0.1):
         raise InvalidInput(f"rel_step must lie in (0, 0.1], got {rel_step!r}")
     h = rel_step
+    ces, demand, supply, w_a_eff = su
     base = solve_statics_point(su)
-    minus = solve_statics_point(su._replace(w_a_eff=su.w_a_eff * math.exp(-h)))
-    plus = solve_statics_point(su._replace(w_a_eff=su.w_a_eff * math.exp(h)))
+    # The shifted setups by positional construction, cheaper than _replace, which takes keywords.
+    minus = solve_statics_point(StaticsSetup(ces, demand, supply, w_a_eff * math.exp(-h)))
+    plus = solve_statics_point(StaticsSetup(ces, demand, supply, w_a_eff * math.exp(h)))
 
     fd = (math.log(plus.w_h) - math.log(minus.w_h)) / (2.0 * h)
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h
     fd_backward = (math.log(base.w_h) - math.log(minus.w_h)) / h
 
-    sigma, e = su.ces.sigma, su.labor_supply.elasticity
+    sigma, e = ces.sigma, supply.elasticity
     # log(1/s_a - 1), the human over the agent wage bill, as a sum of logs: w_h*l_h may underflow.
-    log_bills = math.log(base.w_h) + math.log(base.l_h) - math.log(su.w_a_eff) - math.log(base.l_a)
+    log_bills = math.log(base.w_h) + math.log(base.l_h) - math.log(w_a_eff) - math.log(base.l_a)
     direct = 1.0 if e == 0.0 else sigma / (sigma + e * (1.0 + _exp(log_bills)))
 
     return SemiElasticity(
@@ -272,14 +276,13 @@ def wage_bill_response(
     demand is elastic enough. With ``check_binding`` (the default) a ceiling
     above the uncapped clearing wage raises CeilingNotBinding, since a slack
     ceiling would not be the operative wage; pass False to evaluate the
-    states at the stated ceilings regardless.
+    states at the stated ceilings regardless. Curves outside
+    :func:`caw.model.require_curve` raise InvalidInput.
     """
     if ceiling_before <= 0.0 or ceiling_after <= 0.0:
         raise InvalidInput("ceilings must be > 0")
-    if output_demand.kind is not CurveKind.DEMAND:
-        raise InvalidInput("output_demand must be a demand curve")
-    if labor_supply.kind is not CurveKind.SUPPLY:
-        raise InvalidInput("labor_supply must be a supply curve")
+    require_curve(output_demand, CurveKind.DEMAND, "output_demand")
+    require_curve(labor_supply, CurveKind.SUPPLY, "labor_supply")
     if check_binding:
         w_clear = clear_market(labor_supply, output_demand).price
         for label, ceiling in (("before", ceiling_before), ("after", ceiling_after)):

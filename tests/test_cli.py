@@ -536,6 +536,45 @@ def test_bound_ceiling_beyond_float_range_exits_three(rc):
     assert err == "error: wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range\n"
 
 
+_CEILING_OVERFLOW = "wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+@pytest.mark.parametrize("command", ["solve", "shares"])
+def test_solve_ceiling_beyond_float_range_exits_three(tmp_path, command, mode, fmt):
+    # solve used to print an inf ceiling, and shares its shares, with exit 0.
+    path = write_scenario(tmp_path, make_scenario(lam=1e200, k=1e200))
+    code, out, err = run([command, "--scenario", path, "--mode", mode, "--format", fmt])
+    assert code == 3 and out == ""
+    assert err == f"error: {_CEILING_OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+def test_sweep_ceiling_beyond_float_range_is_an_error_row(mode, fmt):
+    code, out, err = run(["sweep", "--scenario", BASELINE, "--param", "technology.lambda", "--from", "1",
+                          "--to", "1e308", "--steps", "3", "--log", "--mode", mode, "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        table = json.loads(out)
+        headers, rows = table["headers"], table["rows"]
+    else:
+        headers, rows = data_rows(out)
+    *solved, last = [dict(zip(headers, row)) for row in rows]
+    assert all(row["error"] in (None, "") and math.isfinite(float(row["ceiling"])) for row in solved)
+    assert last["error"] == _CEILING_OVERFLOW
+    assert all(last[h] in (None, "") for h in headers if h not in ("value", "error"))
+
+
+def test_statics_agent_wage_beyond_float_range_exits_three(tmp_path):
+    # k*r_c overflows; the solve used to report agents unemployed.
+    path = write_scenario(tmp_path, make_scenario(k=1e200))
+    code, out, err = run(["statics", "--scenario", path, "--rc", "1e200"])
+    assert code == 3 and out == ""
+    assert err == "error: agent wage k*r_c lies outside the floating-point range\n"
+
+
 @pytest.mark.parametrize("digits", [400, 5000])
 def test_integer_literal_beyond_float_range_exits_two(tmp_path, digits):
     # 10**400 overflows float(); a 5000-digit literal is longer than int() reads.

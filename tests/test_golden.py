@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from caw.cli import run_command
-from caw.statics import SWEEPABLE_PARAMS
+from caw import SWEEPABLE_PARAMS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"

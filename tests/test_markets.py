@@ -13,6 +13,7 @@ from caw import (
     InvalidInput,
     NoEquilibrium,
     Regime,
+    SolverError,
     ValidationError,
     caw_ceiling,
     classify_regime,
@@ -73,6 +74,22 @@ def test_clear_market_price_beyond_float_range_raises(d0):
 def test_clear_market_kind_mismatch_rejected():
     with pytest.raises(InvalidInput):
         clear_market(demand_curve(1.0, 1.0), demand_curve(4.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "supply, demand",
+    [
+        (supply_curve(-1.0, 1.0), demand_curve(4.0, 1.0)),  # a complex power's TypeError
+        (supply_curve(1.0, -1.0), demand_curve(4.0, -1.0)),  # priced at 0.5
+        (supply_curve(1.0, math.nan), demand_curve(4.0, 1.0)),  # NoEquilibrium
+        (supply_curve(1.0, 1.0), demand_curve(math.inf, 1.0)),
+        (supply_curve(1.0, 1.0), demand_curve(4.0, math.inf)),
+    ],
+)
+@pytest.mark.parametrize("method", ["closed_form", "root_search"])
+def test_clear_market_rejects_curves_outside_the_curve_rule(supply, demand, method):
+    with pytest.raises(InvalidInput, match=r"^(supply|demand) (scale|elasticity) must be finite and >=? 0, got "):
+        clear_market(supply, demand, method=method)
 
 
 @given(
@@ -484,6 +501,19 @@ def test_capped_batch_shares_a_stage_error_with_every_row():
     assert [str(r) for r in rows] == ["scenario has no exogenous compute demand to clear against"] * 2
     with pytest.raises(InvalidInput, match="no exogenous compute demand"):
         solve_scenario(s, "capped")
+
+
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+def test_batch_row_with_a_ceiling_beyond_float_range_is_a_solver_error(mode):
+    # lambda*k*r_c overflows at the third value only; its row used to hold an
+    # inf ceiling. At a zero rate the ceiling stays exactly 0.
+    s = make_scenario(k=1e200)
+    rows = markets.solve_batch(s, "technology.lambda", [1.0, 1e100, 1e200], mode=mode)
+    assert all(math.isfinite(row.ceiling) for row in rows[:2])
+    assert isinstance(rows[2], SolverError)
+    assert str(rows[2]) == "wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range"
+    (row,) = markets.solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(10.0, 0.0)), r_c_star=0.0)
+    assert row.ceiling == 0.0
 
 
 def test_capped_batch_rejects_unknown_or_absent_fields(baseline_scenario):

@@ -1,5 +1,6 @@
 import enum
 import math
+import types
 
 import pytest
 from hypothesis import given
@@ -177,6 +178,38 @@ def _one_of_each_record():
         SECTIONS[0],
     ]
     return {type(r).__name__: r for r in records}
+
+
+# The package's public names; a name the package imports is exported only if listed here.
+_PUBLIC_NAMES = {
+    "Allocation", "CalibrationCell", "CawError", "CeilingNotBinding", "CesParams", "ClearingPoint",
+    "CurveKind", "DegenerateCeiling", "DemandPair", "EquilibriumResult", "FactorPrices", "FactorShares",
+    "Infeasible", "InvalidInput", "IsoElasticCurve", "NoConvergence", "NoEquilibrium", "OutputTable",
+    "ParseError", "PolicyLevers", "Regime", "SWEEPABLE_PARAMS", "Scenario", "SemiElasticity",
+    "SolverError", "StaticsPoint", "StaticsSetup", "SweepRow", "TaskProfile", "Technology",
+    "ValidationError", "Violation", "WageBillResponse", "WageBillState", "__version__", "agent_wage",
+    "caw_ceiling", "caw_trajectory", "ces_output", "classify_regime", "clear_market",
+    "conditional_demands", "demand_curve", "emit_scenario", "emit_table", "factor_shares", "grid",
+    "leontief_requirements", "linear_costmin", "occupation_wage", "parse_scenario", "relative_wage",
+    "semi_elasticity", "solve_capped_labor_market", "solve_compute_market", "solve_coupled",
+    "solve_scenario", "solve_statics_point", "supply_curve", "sweep", "table1", "unit_cost",
+    "validate_scenario", "wage_bill_response",
+}
+
+
+def test_public_surface_is_exactly_all():
+    assert len(_PUBLIC_NAMES) == 64
+    assert set(caw.__all__) == _PUBLIC_NAMES
+    assert len(set(caw.__all__)) == len(caw.__all__)
+    namespace = {}
+    exec("from caw import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == _PUBLIC_NAMES
+    public = {
+        name for name, value in vars(caw).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= _PUBLIC_NAMES
 
 
 def test_domain_types_are_immutable():

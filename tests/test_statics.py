@@ -79,6 +79,24 @@ def test_statics_point_rejects_bad_setup():
         )
 
 
+@pytest.mark.parametrize(
+    "ces, demand, supply, w_a_eff",
+    [
+        (CesParams(1.0, -0.5, 0.5, 2.0), 1.0, supply_curve(1.0, 1.0), 1.0),  # a math domain error
+        (CesParams(1.0, 0.5, 0.5, math.nan), 1.0, supply_curve(1.0, 1.0), 1.0),  # NoConvergence
+        (CesParams(math.inf, 0.5, 0.5, 2.0), 1.0, supply_curve(1.0, 1.0), 1.0),
+        (SYM, math.inf, supply_curve(1.0, 1.0), 1.0),  # NoEquilibrium
+        (SYM, 1.0, supply_curve(1.0, 1.0), math.inf),
+        (SYM, 1.0, supply_curve(1.0, -3.0), 1.0),  # direct = -0.5
+        (SYM, 1.0, demand_curve(1.0, 1.0), 1.0),
+    ],
+)
+def test_semi_elasticity_rejects_setups_outside_the_scenario_rules(ces, demand, supply, w_a_eff):
+    su = StaticsSetup(ces=ces, l_eff_demand=demand, labor_supply=supply, w_a_eff=w_a_eff)
+    with pytest.raises(InvalidInput):
+        semi_elasticity(su)
+
+
 def test_statics_point_rejects_fixed_proportions():
     # At fixed proportions the relative-wage condition does not pin w_h.
     for elasticity in (0.0, 1.0):
@@ -266,6 +284,36 @@ def test_semi_elasticity_fails_only_with_caw_errors(
     assert abs(se.direct - se.fd) <= max(1e-4, 1e-3 * abs(se.fd))
 
 
+# Values outside the scenario rules: every field but the elasticity needs
+# (0, inf), the elasticity [0, inf).
+_OUT_OF_RULE = st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan])
+_SETUP_FIELDS = ("sigma", "A", "alpha", "beta", "demand", "scale", "elasticity", "w_a_eff")
+
+
+@given(
+    sigma=st.sampled_from(sorted(_BRANCH_SIGMA)).flatmap(_BRANCH_SIGMA.get),
+    others=st.lists(_positive, min_size=7, max_size=7),
+    broken=st.fixed_dictionaries(
+        {},
+        optional={
+            **{name: _OUT_OF_RULE for name in _SETUP_FIELDS},
+            "elasticity": _OUT_OF_RULE.filter(lambda x: x != 0.0),
+        },
+    ).filter(bool),
+)
+def test_semi_elasticity_rejects_setups_outside_the_scenario_rules_anywhere(sigma, others, broken):
+    # An in-range setup on any branch with one or more fields replaced.
+    v = {**dict(zip(_SETUP_FIELDS, (sigma, *others))), **broken}
+    su = StaticsSetup(
+        ces=CesParams(A=v["A"], alpha=v["alpha"], beta=v["beta"], sigma=v["sigma"]),
+        l_eff_demand=v["demand"],
+        labor_supply=supply_curve(v["scale"], v["elasticity"]),
+        w_a_eff=v["w_a_eff"],
+    )
+    with pytest.raises(InvalidInput):
+        semi_elasticity(su)
+
+
 _anywhere = st.floats(min_value=-300.0, max_value=300.0).map(lambda x: 10.0**x)
 
 
@@ -422,6 +470,20 @@ def test_bill_equals_wage_times_employment_and_caps_both_curves():
         assert state.bill == state.wage * state.employment
         assert state.employment <= demand.quantity(state.wage)
         assert state.employment <= supply_curve(1.0, 1.0).quantity(state.wage)
+
+
+@pytest.mark.parametrize(
+    "output_demand, labor_supply",
+    [
+        (demand_curve(4.0, 1.0), supply_curve(-1.0, 1.0)),  # a complex power's TypeError
+        (demand_curve(4.0, -1.0), supply_curve(1.0, 1.0)),
+        (demand_curve(4.0, 1.0), supply_curve(1.0, math.nan)),
+        (supply_curve(4.0, 1.0), supply_curve(1.0, 1.0)),
+    ],
+)
+def test_wage_bill_response_rejects_curves_outside_the_curve_rule(output_demand, labor_supply):
+    with pytest.raises(InvalidInput):
+        wage_bill_response(output_demand, labor_supply, 2.0, 1.0, check_binding=False)
 
 
 def test_slack_ceiling_raises_by_default():
