@@ -6,6 +6,10 @@ the unit cost of effective labor is ``min(w_h, lam*k*r_c)``; the competitive
 human wage therefore cannot exceed ``lam*k*r_c`` wherever humans stay
 employed, and cost minimization picks a corner whenever the two per-unit
 costs differ.
+
+Every entry holds its technology, and ``caw_ceiling`` its policy, to the
+scenario rules (:func:`caw.model.require_part`), and a rental rate to the one
+rate rule, :func:`require_rate`: finite and >= 0.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInput, SolverError
-from .model import PolicyLevers, Regime, Technology
+from .model import PolicyLevers, Regime, Technology, require_part, rule_error
 
 
 class Allocation(NamedTuple):
@@ -30,20 +34,16 @@ class Allocation(NamedTuple):
     tie: bool = False
 
 
-def _require_valid_technology(tech: Technology) -> None:
-    if not (tech.lam > 0.0) or not math.isfinite(tech.lam):
-        raise InvalidInput(f"lambda must be finite and > 0, got {tech.lam!r}")
-    if not (tech.k > 0.0) or not math.isfinite(tech.k):
-        raise InvalidInput(f"k must be finite and > 0, got {tech.k!r}")
-    if tech.g < 0.0 or not math.isfinite(tech.g):
-        raise InvalidInput(f"g must be finite and >= 0, got {tech.g!r}")
+def require_rate(r_c: float) -> None:
+    """The one rental-rate rule: InvalidInput unless ``r_c`` is finite and >= 0."""
+    if not 0.0 <= r_c < math.inf:
+        raise rule_error("rental rate", r_c, 0.0, True)
 
 
 def agent_wage(tech: Technology, r_c: float) -> float:
     """Effective cost of one agent-labor-hour: k * r_c (currency/hour)."""
-    _require_valid_technology(tech)
-    if r_c < 0.0:
-        raise InvalidInput(f"rental rate must be nonnegative, got {r_c!r}")
+    require_part(tech)
+    require_rate(r_c)
     return tech.k * r_c
 
 
@@ -55,13 +55,12 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     At a zero rental rate the ceiling is exactly zero, even where the product
     of the other factors overflows.
     """
-    _require_valid_technology(tech)
-    if r_c < 0.0:
-        raise InvalidInput(f"rental rate must be nonnegative, got {r_c!r}")
+    require_part(tech)
+    require_rate(r_c)
+    policy = PolicyLevers() if policy is None else policy
+    require_part(policy)
     if r_c == 0.0:
         return r_c
-    if policy is None:
-        policy = PolicyLevers()
     return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu * r_c
 
 
@@ -87,13 +86,12 @@ def linear_costmin(
     exact indifference the human corner wins by default (``prefer_agents_on_tie``
     flips that) and the tie is flagged so the choice is auditable.
     """
-    _require_valid_technology(tech)
+    require_part(tech)
     if effective_units <= 0.0:
         raise InvalidInput(f"effective_units must be > 0, got {effective_units!r}")
     if w_h < 0.0:
         raise InvalidInput(f"wage must be nonnegative, got {w_h!r}")
-    if r_c < 0.0:
-        raise InvalidInput(f"rental rate must be nonnegative, got {r_c!r}")
+    require_rate(r_c)
 
     human_cost = w_h * effective_units
     agent_units = tech.lam * effective_units

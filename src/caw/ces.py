@@ -36,18 +36,20 @@ costs nothing elsewhere.
 
 Zero inputs with rho < 0 are a zero-output limit, returned as an explicit
 0.0 rather than raised, because corner scans need the value.
+
+Every entry holds its parameters to the scenario rules for ``ces``
+(:func:`caw.model.require_part`), else InvalidInput.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from . import constants
 from .bound import Allocation, linear_costmin
 from .errors import InvalidInput, SolverError
-from .model import CesParams, Technology
+from .model import _MIN_NORMAL, CesParams, Technology, _exp, require_part
 
 
 class DemandPair(NamedTuple):
@@ -75,19 +77,9 @@ def _cd_exponents(ces: CesParams) -> tuple[float, float]:
     return alpha / total, beta / total
 
 
-def _require_positive_params(ces: CesParams) -> None:
-    A, alpha, beta, sigma = ces
-    # Each parameter in (0, inf), in one chained comparison; NaN fails it.
-    if 0.0 < A < math.inf > alpha > 0.0 < beta < math.inf > sigma > 0.0:
-        return
-    for name, value in zip(CesParams._fields, ces):
-        if not 0.0 < value < math.inf:
-            raise InvalidInput(f"CES parameter {name} must be finite and > 0, got {value!r}")
-
-
 def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
     """Effective labor produced by the bundle (l_h, l_a)."""
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     if l_h < 0.0 or l_a < 0.0:
         raise InvalidInput(f"labor inputs must be nonnegative, got ({l_h!r}, {l_a!r})")
 
@@ -143,13 +135,6 @@ def _require_positive_prices(w_h: float, w_a: float) -> None:
         raise InvalidInput(f"factor prices must be finite and > 0, got ({w_h!r}, {w_a!r})")
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _in_range(value: float, log_value: float, what: str, zero: bool = False) -> float:
     """``value``, or exp(log_value) where the float arithmetic that gave it
     left the float range (0 or inf); SolverError where exp(log_value) is
@@ -164,7 +149,7 @@ def _in_range(value: float, log_value: float, what: str, zero: bool = False) -> 
 def _log_quotient(x: float, y: float) -> float:
     """log(x / y), also where the quotient is subnormal (keeps too few digits) or overflows."""
     q = x / y
-    return math.log(q) if sys.float_info.min <= q < math.inf else math.log(x) - math.log(y)
+    return math.log(q) if _MIN_NORMAL <= q < math.inf else math.log(x) - math.log(y)
 
 
 def _cd_log_cost(a: float, w: float) -> float:
@@ -198,14 +183,15 @@ def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
 
 def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
     """Minimal cost of one unit of effective labor at the given prices."""
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     _require_positive_prices(w_h, w_a)
 
     branch = _branch(ces.sigma)
     if branch == "linear":
         return _linear_equivalent(ces, w_h, w_a).cost
     if branch == "leontief":
-        return (w_h + w_a) / ces.A
+        log_cost = _logaddexp(math.log(w_h), math.log(w_a)) - math.log(ces.A)
+        return _in_range((w_h + w_a) / ces.A, log_cost, "unit cost")
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         log_cost = _cd_log_cost(a, w_h) + _cd_log_cost(b, w_a)
@@ -224,7 +210,7 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
     Satisfies ``ces_output(bundle) == 1`` and
     ``w_h*l_h + w_a*l_a == unit_cost`` within the duality tolerance.
     """
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     _require_positive_prices(w_h, w_a)
 
     branch = _branch(ces.sigma)
@@ -232,7 +218,8 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
         alloc = _linear_equivalent(ces, w_h, w_a)
         return DemandPair(l_h=alloc.l_h, l_a=alloc.l_a)
     if branch == "leontief":
-        return DemandPair(l_h=1.0 / ces.A, l_a=1.0 / ces.A)
+        per_unit = _in_range(1.0 / ces.A, -math.log(ces.A), "demand")
+        return DemandPair(l_h=per_unit, l_a=per_unit)
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         c = unit_cost(ces, w_h, w_a)
@@ -252,7 +239,7 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
 
 def relative_wage(ces: CesParams, l_h: float, l_a: float) -> float:
     """Marginal-rate-of-substitution wage ratio (alpha/beta)*(l_h/l_a)**(-1/sigma)."""
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     if not (l_h > 0.0) or not (l_a > 0.0):
         raise InvalidInput(f"labor quantities must be > 0, got ({l_h!r}, {l_a!r})")
     log_ratio = math.log(l_h) - math.log(l_a)
@@ -267,7 +254,7 @@ def leontief_requirements(ces: CesParams, l_eff_target: float) -> DemandPair:
     independent of factor prices. Verified against conditional demands at
     small sigma by the test suite.
     """
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     if not (l_eff_target > 0.0):
         raise InvalidInput(f"target must be > 0, got {l_eff_target!r}")
     per_input = l_eff_target / ces.A

@@ -13,12 +13,15 @@ its parameter does not touch once for the whole grid. A capped row takes
 the compute-market price, a coupled row finds its fixed-point rate, and
 both place the labor market against the ceiling with the same
 arithmetic. A sweep may vary only the fields a solve reads,
-:data:`caw.model.SWEEPABLE_PARAMS`, and a row whose ceiling leaves the float
-range is a SolverError row (:func:`caw.bound.finite_ceiling`).
+:data:`caw.model.SWEEPABLE_PARAMS`, and a row whose ceiling or labor
+quantities leave the float range is a SolverError row
+(:func:`caw.bound.finite_ceiling`, :data:`_LABOR_RANGE`). A clearing price
+whose scale ratio alone leaves the float range is taken in logs.
 
-Curves meet one rule, :func:`caw.model.require_curve`: a solve validates its
-scenario once, which holds every curve to it, and :func:`clear_market`
-checks its two curves with it.
+Curves meet the scenario rules: a solve validates its scenario once, which
+holds every curve to them, :func:`clear_market` checks its two curves with
+:func:`caw.model.require_curve`, and a given rental rate meets
+:func:`caw.bound.require_rate`.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
 log price, by default over the initial bracket [1e-9, 1e9] expanded
@@ -40,12 +43,13 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import caw_ceiling, finite_ceiling
-from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
+from .bound import caw_ceiling, finite_ceiling, require_rate
+from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, SolverError, ValidationError
 from .model import (
     FIELDS,
     SECTIONS,
     SWEEPABLE_PARAMS,
+    _MIN_NORMAL,
     CurveKind,
     EquilibriumResult,
     IsoElasticCurve,
@@ -53,6 +57,7 @@ from .model import (
     Regime,
     Scenario,
     Technology,
+    _exp,
     field_violation,
     require_curve,
     validate_scenario,
@@ -80,10 +85,14 @@ def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
             "both curves perfectly inelastic with unequal quantities "
             f"({supply.scale!r} vs {demand.scale!r})"
         )
-    try:
-        price = (demand.scale / supply.scale) ** (1.0 / total_elasticity)
-    except OverflowError:
-        price = math.inf
+    ratio = demand.scale / supply.scale
+    if _MIN_NORMAL <= ratio < math.inf:
+        try:
+            price = ratio ** (1.0 / total_elasticity)
+        except OverflowError:
+            price = math.inf
+    else:  # the ratio alone leaves the normal range; the price may not
+        price = _exp((math.log(demand.scale) - math.log(supply.scale)) / total_elasticity)
     if not 0.0 < price < math.inf:
         raise NoEquilibrium(f"clearing price {price!r} lies outside the floating-point range")
     return price
@@ -184,6 +193,10 @@ def _agent_labor(
     return supply_at, demand_at, tech.lam * max(0.0, demand_at - supply_at)
 
 
+# The SolverError of a row whose reported labor quantities are not all finite.
+_LABOR_RANGE = "labor quantity at the equilibrium wage lies outside the floating-point range"
+
+
 def _place_at_ceiling(
     tech: Technology,
     policy: PolicyLevers,
@@ -203,7 +216,8 @@ def _place_at_ceiling(
     known. A zero ceiling, even one that underflows at a positive rate,
     binds; the result reports ``r_c_star`` as given. A positive ceiling
     beyond the float range raises SolverError (:func:`caw.bound.finite_ceiling`),
-    after a clearing error.
+    after a clearing error, and so does a labor quantity the result would
+    report beyond it, in either branch.
     """
     ceiling = factor * r_c_star if r_c_star > 0.0 else caw_ceiling(tech, r_c_star, policy)
     if ceiling != 0.0:
@@ -212,6 +226,8 @@ def _place_at_ceiling(
         finite_ceiling(ceiling)
         if w_clear <= ceiling:
             l_h, l_d = slack or (supply.quantity(w_clear), demand.quantity(w_clear))
+            if math.inf in (l_h, l_d):
+                raise SolverError(_LABOR_RANGE)
             # classify_regime's band test; w_clear cannot lie above the ceiling here.
             binds = w_clear >= ceiling - constants.REGIME_BAND_ABS
             regime = Regime.MIXED if binds else Regime.HUMAN_ONLY
@@ -219,9 +235,12 @@ def _place_at_ceiling(
 
     # A binding ceiling: classify_regime(ceiling, ceiling, band) is MIXED.
     supply_at_ceiling, demand_at_ceiling, l_a = _agent_labor(tech, ceiling, supply, demand)
+    k_c = tech.k * l_a  # inf where l_a is
+    if math.inf in (supply_at_ceiling, demand_at_ceiling, k_c):
+        raise SolverError(_LABOR_RANGE)
     return EquilibriumResult(
         Regime.MIXED, ceiling, r_c_star, ceiling, min(supply_at_ceiling, demand_at_ceiling), l_a,
-        tech.k * l_a, True, supply_at_ceiling, demand_at_ceiling,
+        k_c, True, supply_at_ceiling, demand_at_ceiling,
     )
 
 
@@ -348,6 +367,7 @@ def solve_batch(
     else:
         attr, make = _swept_holder(s, param)
         at = _PARTS.index(attr)
+        holds = FIELDS[param].holds  # field_violation's test, without its lookups per row
 
     # The compute price on exogenous demand: a capped row's rate, and a
     # coupled row's closed form where the ceiling is slack. Left None when a
@@ -369,9 +389,8 @@ def solve_batch(
     rows: list[EquilibriumResult | CawError] = []
     for value in values:
         if attr is not None:
-            violation = field_violation(param, value)
-            if violation is not None:
-                rows.append(ValidationError([violation]))
+            if not holds(value):
+                rows.append(ValidationError([field_violation(param, value)]))
                 continue
             parts[at] = make(value)
         tech, compute_supply, compute_demand, demand, supply, policy = parts
@@ -408,8 +427,7 @@ def solve_capped_labor_market(s: Scenario, r_c_star: float) -> EquilibriumResult
     lam * (demand - supply). Both curve readings at the equilibrium wage are
     reported so the supply/demand gap is visible, not hidden.
     """
-    if r_c_star < 0.0:
-        raise InvalidInput(f"rental rate must be nonnegative, got {r_c_star!r}")
+    require_rate(r_c_star)
     return _one(solve_batch(s, r_c_star=r_c_star))
 
 

@@ -34,9 +34,21 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import InvalidInput
+
+
+_MIN_NORMAL = sys.float_info.min
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class CurveKind(enum.Enum):
@@ -95,7 +107,8 @@ class IsoElasticCurve(NamedTuple):
     elasticity: float
 
     def quantity(self, price: float) -> float:
-        """Quantity at ``price`` (> 0); ``inf`` where the power overflows."""
+        """Quantity at ``price`` (> 0); ``inf`` where it overflows. Where the
+        power alone is not a normal float, the product is taken in logs."""
         if price <= 0.0 or not math.isfinite(price):
             raise InvalidInput(f"curve evaluated at non-positive price {price!r}")
         kind, scale, elasticity = self
@@ -103,9 +116,14 @@ class IsoElasticCurve(NamedTuple):
             return scale
         exponent = elasticity if kind is CurveKind.SUPPLY else -elasticity
         try:
-            return scale * price**exponent
+            power = price**exponent
+            if power >= _MIN_NORMAL:  # or inf at an infinite exponent, as before
+                return scale * power
         except OverflowError:
-            return math.inf
+            power = math.inf
+        if not scale > 0.0:  # a scale outside the curve rule has no log
+            return scale * power
+        return _exp(math.log(scale) + exponent * math.log(price))
 
 
 def supply_curve(scale: float, elasticity: float) -> IsoElasticCurve:
@@ -245,6 +263,10 @@ class Field(NamedTuple):
     nonfinite: Violation
     below: Violation
 
+    def holds(self, value) -> bool:
+        """Whether the number ``value`` is finite and above the bound (or at an inclusive one)."""
+        return self.bound < value < math.inf or self.inclusive and value == self.bound
+
 
 class Section(NamedTuple):
     """One part of a :class:`Scenario`, as a scenario document writes it."""
@@ -292,24 +314,8 @@ def _section(key: str, attr: str, kind, *specs, nullable: bool = False) -> Secti
     return Section(key, attr, kind, tuple(fields), nullable)
 
 
-# The rule every curve's fields meet, in field order: a scale > 0 and an elasticity >= 0.
-_CURVE_RULE = (("scale", _POSITIVE), ("elasticity", _NONNEGATIVE))
-
-
 def _curve_fields(scale: float, elasticity: float) -> tuple:
-    return tuple((key, key, default, rule) for (key, rule), default in zip(_CURVE_RULE, (scale, elasticity)))
-
-
-def require_curve(curve: IsoElasticCurve, kind: CurveKind, name: str) -> None:
-    """Raise InvalidInput unless ``curve`` is a ``kind`` curve whose fields are
-    finite and meet :data:`_CURVE_RULE`, the rule a scenario's curves meet;
-    ``name`` is the argument's name in the message."""
-    if curve.kind is not kind:
-        raise InvalidInput(f"{name} must be a {kind.value} curve")
-    for (key, (bound, inclusive, _)), value in zip(_CURVE_RULE, curve[1:]):
-        if not (value < math.inf and (value > bound or inclusive and value == bound)):
-            relation = ">=" if inclusive else ">"
-            raise InvalidInput(f"{name} {key} must be finite and {relation} {bound:g}, got {value!r}")
+    return (("scale", "scale", scale, _POSITIVE), ("elasticity", "elasticity", elasticity, _NONNEGATIVE))
 
 
 # The scenario document schema, in document order (also the order of
@@ -359,9 +365,38 @@ def field_violation(path: str, value) -> Violation | None:
     f = FIELDS[path]
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         return f.nonfinite
-    if value > f.bound or (f.inclusive and value == f.bound):
-        return None
-    return f.below
+    return None if f.holds(value) else f.below
+
+
+def rule_error(name: str, value, bound: float, inclusive: bool) -> InvalidInput:
+    """InvalidInput for ``value`` of ``name`` outside the finite values > ``bound`` (>= where ``inclusive``)."""
+    return InvalidInput(f"{name} must be finite and {'>=' if inclusive else '>'} {bound:g}, got {value!r}")
+
+
+# Each model record's fields in SECTIONS; every curve section states the same rule.
+_PART_FIELDS = {IsoElasticCurve if isinstance(sec.kind, CurveKind) else sec.kind: sec.fields for sec in SECTIONS}
+# The last part of each class that passed (statics checks a setup at three points); records are immutable.
+_PASSED: dict = {}
+
+
+def require_part(part, prefix: str = "") -> None:
+    """Raise InvalidInput unless each field of ``part`` (a Technology, CesParams,
+    PolicyLevers or curve) meets its scenario rule, :meth:`Field.holds`; the
+    message names the field's document key after ``prefix``."""
+    cls = type(part)
+    if _PASSED.get(cls) is not part:
+        fields = _PART_FIELDS[cls]
+        for f, value in zip(fields, part[-len(fields):]):  # a curve's kind comes first
+            if not f.holds(value):
+                raise rule_error(prefix + f.key, value, f.bound, f.inclusive)
+        _PASSED[cls] = part
+
+
+def require_curve(curve: IsoElasticCurve, kind: CurveKind, name: str) -> None:
+    """Raise InvalidInput unless ``curve`` is a ``kind`` curve meeting :func:`require_part`, named ``name``."""
+    if curve.kind is not kind:
+        raise InvalidInput(f"{name} must be a {kind.value} curve")
+    require_part(curve, name + " ")
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:

@@ -3,8 +3,10 @@ ceiling time trajectories, wage-vs-wage-bill analysis, and generic scenario
 sweeps over the fields a solve reads (:data:`caw.model.SWEEPABLE_PARAMS`).
 
 Inputs are held to the scenario rules, else InvalidInput: each curve
-argument to :func:`caw.model.require_curve`, and a statics setup's CES
-parameters, effective-labor demand and agent wage to finite values > 0.
+argument to :func:`caw.model.require_curve`, a statics setup's CES
+parameters to :func:`caw.model.require_part`, a policy to it through
+:func:`caw.bound.caw_ceiling`, and a setup's effective-labor demand and
+agent wage to finite values > 0, with messages of the same form.
 
 The pass-through identity checked here is
 
@@ -51,11 +53,11 @@ from typing import NamedTuple, Sequence
 
 from . import constants
 from .bound import caw_ceiling
-from .ces import _branch, _cd_exponents, _exp, _log_power_mean, _require_positive_params
+from .ces import _branch, _cd_exponents, _log_power_mean
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import clear_market, solve_batch
-from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve
-from .model import PolicyLevers, Scenario, Technology, require_curve
+from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, _exp
+from .model import PolicyLevers, Scenario, Technology, require_curve, require_part, rule_error
 from .roots import REACHABLE, find_root
 
 
@@ -133,10 +135,10 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     """
     ces, demand, supply, w_a_eff = su
     for name, value in (("l_eff_demand", demand), ("w_a_eff", w_a_eff)):
-        if not 0.0 < value < math.inf:  # NaN or a value <= 0 reports the lower bound alone
-            raise InvalidInput(f"{name} must be {'finite' if value == math.inf else '> 0'}, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise rule_error(name, value, 0.0, False)
     require_curve(supply, CurveKind.SUPPLY, "labor_supply")
-    _require_positive_params(ces)
+    require_part(ces, "CES parameter ")
     A, alpha, beta, sigma = ces
     branch = _branch(sigma)
     if branch == "leontief":

@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caw.cli import run_command
+from caw.model import SECTIONS
 from conftest import make_scenario
 from caw import SWEEPABLE_PARAMS, CesParams, emit_scenario
 
@@ -339,11 +342,17 @@ def test_shares_command(tmp_path):
 
 
 def test_shares_whose_output_value_overflows_exit_three(tmp_path):
-    # A ceiling of 2e200 times 2e200 hours: w*l + r*k is beyond the float range.
-    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0))
+    # A slack ceiling of 2e200 over a clearing wage of 1e200 at 1e200 hours:
+    # every quantity is in range, but w*l + r*k is beyond the float range.
+    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e200, 0.0))
     code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, s)])
     assert code == 3 and out == ""
     assert err == "error: output value w_h*l_h + r_c*k_c lies outside the floating-point range\n"
+    # Labor demand 1e300 at a binding ceiling of 2e200: agent labor 1e100 * 1e300 overflows first.
+    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0))
+    code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, s)])
+    assert code == 3 and out == ""
+    assert err == "error: labor quantity at the equilibrium wage lies outside the floating-point range\n"
 
 
 # --- formats, files, determinism ----------------------------------------------------
@@ -708,6 +717,32 @@ def test_clearing_price_beyond_float_range_exits_three(tmp_path):
     assert all("floating-point range" in dict(zip(headers, row))["error"] for row in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_labor_quantities_beyond_float_range_exit_three_or_make_an_error_row(tmp_path, fmt):
+    # A binding ceiling of 1e-200 * k * 2: labor demand 10 * ceiling**-2 overflows at k = 0.5.
+    path = write_scenario(tmp_path, make_scenario(lam=1e-200, k=0.5, labor_demand=(10.0, 2.0)))
+    message = "labor quantity at the equilibrium wage lies outside the floating-point range"
+    for command in ("solve", "shares"):
+        assert run([command, "--scenario", path, "--format", fmt]) == (3, "", f"error: {message}\n")
+    code, out, _ = run(["sweep", "--scenario", path, "--param", "technology.k", "--from", "0.5",
+                        "--to", "1e200", "--steps", "2", "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        rows = [dict(zip(doc["headers"], row)) for row in doc["rows"]]
+    else:
+        headers, cells = data_rows(out)
+        rows = [dict(zip(headers, row)) for row in cells]
+    assert rows[0]["error"] == message and not rows[1]["error"]
+
+
+def test_fixed_proportions_unit_cost_beyond_float_range_exits_three():
+    code, out, err = run(["ces", "--A", "1e-308", "--alpha", "1", "--beta", "1", "--sigma", "1e-4",
+                          "--wh", "1", "--wa", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: CES unit cost lies outside the floating-point range\n"
+
+
 def test_diagnostics_are_plain_without_tty(tmp_path):
     code, _, err = run(["solve", "--scenario", "/nonexistent/scenario.json"])
     assert err.startswith("error:")
@@ -732,3 +767,72 @@ def test_no_color_env_disables_tty_styling(monkeypatch):
     )
     assert "\x1b[" not in err_plain.getvalue()
     assert err_plain.getvalue().startswith("error:")
+
+
+# --- the exit-code contract on any input -------------------------------------------
+
+# 10**x over the whole positive float range, 5e-324 to the float maximum, and 0 (it underflows below x = -323.6).
+_ANY = st.floats(-330.0, 308.25).map(lambda x: 10.0**x)
+
+
+@st.composite
+def _document(draw):
+    """A scenario document whose every field is its lower bound plus a value of
+    _ANY, so that most documents are valid, and that at times has no exogenous
+    compute demand."""
+    doc = {"caw_schema": 1}
+    for section in SECTIONS:
+        values = {f.key: f.bound + draw(_ANY) for f in section.fields}
+        if section.nullable and draw(st.booleans()):
+            doc[section.key] = None
+        else:
+            doc[section.key] = values[section.key] if section.kind is float else values
+    return doc
+
+
+@st.composite
+def _flags(draw, command):
+    """The flags of one subcommand but table1, each float flag drawn from _ANY."""
+    def floats(*names):
+        return [x for name in names for x in (name, repr(draw(_ANY)))]
+
+    if command == "bound":
+        return floats("--lambda", "--k", "--rc", "--tau", "--mu")
+    if command == "ces":
+        return floats("--A", "--alpha", "--beta", "--sigma", "--wh", "--wa")
+    if command in ("trajectory", "statics"):
+        rc = floats("--rc") if draw(st.booleans()) else []
+        if command == "statics":
+            return [*floats("--demand"), *rc]
+        return [*floats("--t-max"), "--steps", str(draw(st.integers(1, 3))), *rc]
+    mode = ["--mode", draw(st.sampled_from(["capped", "coupled"]))]
+    if command == "sweep":
+        grid = [*floats("--from", "--to"), "--steps", str(draw(st.integers(1, 4)))]
+        log = ["--log"] if draw(st.booleans()) else []
+        return ["--param", draw(st.sampled_from(SWEEPABLE_PARAMS)), *grid, *log, *mode]
+    return mode
+
+
+@pytest.fixture(scope="module")
+def fuzz_scenario(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_code_contract(fuzz_scenario, data):
+    # Exit 0, 2 or 3 and nothing raised out of run_command; on exit 0 every
+    # float cell of a row that is not an error row is finite.
+    command = data.draw(st.sampled_from(["bound", "ces", "solve", "sweep", "trajectory", "statics", "shares"]))
+    argv = [command, *data.draw(_flags(command)), "--format", "json"]
+    if command not in ("bound", "ces"):
+        fuzz_scenario.write_text(json.dumps(data.draw(_document())), encoding="utf-8")
+        argv += ["--scenario", str(fuzz_scenario)]
+    code, out, _ = run(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        table = json.loads(out)
+        for row in table["rows"]:
+            cells = dict(zip(table["headers"], row))
+            if not cells.get("error"):
+                assert all(math.isfinite(c) for c in row if isinstance(c, float)), cells

@@ -506,14 +506,18 @@ def test_capped_batch_shares_a_stage_error_with_every_row():
 @pytest.mark.parametrize("mode", ["capped", "coupled"])
 def test_batch_row_with_a_ceiling_beyond_float_range_is_a_solver_error(mode):
     # lambda*k*r_c overflows at the third value only; its row used to hold an
-    # inf ceiling. At a zero rate the ceiling stays exactly 0.
+    # inf ceiling. At a zero rate the ceiling stays exactly 0, with agent
+    # labor 1e200 * 1e-300 and compute 1e200 * 1e-100 in range.
     s = make_scenario(k=1e200)
     rows = markets.solve_batch(s, "technology.lambda", [1.0, 1e100, 1e200], mode=mode)
     assert all(math.isfinite(row.ceiling) for row in rows[:2])
     assert isinstance(rows[2], SolverError)
     assert str(rows[2]) == "wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range"
+    (row,) = markets.solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(1e-300, 0.0)), r_c_star=0.0)
+    assert row.ceiling == 0.0 and row.k_c_star == 1e200 * (1e200 * 1e-300)
+    # With labor demand 10, compute k * l_a = 1e200 * 1e201 overflows: a solver error.
     (row,) = markets.solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(10.0, 0.0)), r_c_star=0.0)
-    assert row.ceiling == 0.0
+    assert isinstance(row, SolverError) and "labor quantity" in str(row)
 
 
 def test_capped_batch_rejects_unknown_or_absent_fields(baseline_scenario):
@@ -675,3 +679,34 @@ def test_coupled_solve_with_the_exogenous_price_next_to_r_b(lam, k, labor, suppl
         assert not REACHABLE[0] <= math.log(r_b) <= REACHABLE[1]
         return
     assert rel_err(res.r_c_star, r_b) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "supply, demand, price",
+    [
+        (supply_curve(1e-300, 5.0), demand_curve(1e300, 5.0), 1e60),  # D0/S0 overflows
+        (supply_curve(1e300, 5.0), demand_curve(1e-300, 5.0), 1e-60),  # D0/S0 underflows
+        (supply_curve(1e-300, 1.0), demand_curve(1e100, 1.0), 1e200),
+    ],
+)
+def test_clearing_price_in_range_where_the_scale_ratio_is_not(supply, demand, price):
+    point = clear_market(supply, demand)
+    assert point.price == pytest.approx(price, rel=1e-12)
+    assert point.quantity == pytest.approx(demand.quantity(point.price), rel=1e-12)
+
+
+def test_clearing_price_beyond_the_float_range_has_no_equilibrium():
+    with pytest.raises(NoEquilibrium, match="floating-point range"):
+        clear_market(supply_curve(1e-300, 1.0), demand_curve(1e300, 0.0))
+
+
+def test_batch_row_whose_labor_quantities_leave_the_float_range_is_a_solver_error():
+    # A binding ceiling of 1e-200 * k * 2: labor demand 10 * ceiling**-2 overflows
+    # at k = 0.5, and is 2.5 at k = 1e200.
+    s = make_scenario(lam=1e-200, k=0.5, labor_demand=(10.0, 2.0))
+    rows = markets.solve_batch(s, "technology.k", [0.5, 1e200])
+    assert isinstance(rows[0], SolverError)
+    assert str(rows[0]) == "labor quantity at the equilibrium wage lies outside the floating-point range"
+    assert rows[1].ceiling == 2.0 and math.isfinite(rows[1].l_a_star)
+    with pytest.raises(SolverError, match="labor quantity"):
+        solve_scenario(make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0)))

@@ -1,5 +1,6 @@
 import enum
 import math
+import sys
 import types
 
 import pytest
@@ -224,3 +225,135 @@ def test_domain_types_are_immutable():
             record.undeclared = 1.0
         if name != "OutputTable":  # its metadata is a dict
             assert hash(record) == hash(type(record)(*record))
+
+
+# --- one rule per field at every library entry --------------------------------------
+
+_TECH = Technology(2.0, 1.5, 0.1)
+_CES = CesParams(1.0, 0.5, 0.5, 2.0)
+_POLICY = caw.PolicyLevers(0.1, 1.2)
+_SUPPLY, _DEMAND = supply_curve(1.0, 1.0), demand_curve(4.0, 1.0)
+
+
+def _statics(ces=_CES, supply=_SUPPLY):
+    return caw.solve_statics_point(caw.StaticsSetup(ces, 1.0, supply, 1.0))
+
+
+# (entry, the record it is handed, the call, the prefix its messages name a field after)
+_ENTRIES = [
+    ("caw_ceiling", _TECH, lambda t: caw.caw_ceiling(t, 1.0), ""),
+    ("agent_wage", _TECH, lambda t: caw.agent_wage(t, 1.0), ""),
+    ("linear_costmin", _TECH, lambda t: caw.linear_costmin(1.0, t, 1.0, 1.0), ""),
+    ("caw_ceiling policy", _POLICY, lambda p: caw.caw_ceiling(_TECH, 1.0, p), ""),
+    ("caw_ceiling policy at a zero rate", _POLICY, lambda p: caw.caw_ceiling(_TECH, 0.0, p), ""),
+    ("unit_cost", _CES, lambda c: caw.unit_cost(c, 1.0, 1.0), "CES parameter "),
+    ("conditional_demands", _CES, lambda c: caw.conditional_demands(c, 1.0, 1.0), "CES parameter "),
+    ("ces_output", _CES, lambda c: caw.ces_output(c, 1.0, 1.0), "CES parameter "),
+    ("relative_wage", _CES, lambda c: caw.relative_wage(c, 1.0, 1.0), "CES parameter "),
+    ("leontief_requirements", _CES, lambda c: caw.leontief_requirements(c, 1.0), "CES parameter "),
+    ("solve_statics_point ces", _CES, lambda c: _statics(ces=c), "CES parameter "),
+    ("clear_market supply", _SUPPLY, lambda s: caw.clear_market(s, _DEMAND), "supply "),
+    ("clear_market demand", _DEMAND, lambda d: caw.clear_market(_SUPPLY, d), "demand "),
+    ("solve_statics_point supply", _SUPPLY, lambda s: _statics(supply=s), "labor_supply "),
+]
+
+
+def _broken_fields():
+    """(entry id, call, broken record, field key, prefix) for each field of each
+    entry's record and each of 0, -1, NaN, +inf and -inf its rule forbids."""
+    for name, record, call, prefix in _ENTRIES:
+        kind = getattr(record, "kind", type(record))
+        fields = next(section.fields for section in SECTIONS if section.kind is kind)
+        for f in fields:
+            for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+                if not (f.inclusive and value == f.bound):
+                    broken = record._replace(**{f.attr: value})
+                    yield pytest.param(call, broken, f.key, prefix, id=f"{name}-{f.key}={value}")
+
+
+@pytest.mark.parametrize("call, record, key, prefix", _broken_fields())
+def test_every_library_entry_rejects_a_field_outside_its_scenario_rule(call, record, key, prefix):
+    with pytest.raises(InvalidInput, match=f"^{prefix}{key} must be finite and >?=? "):
+        call(record)
+
+
+def test_fields_at_their_inclusive_bounds_pass_every_entry():
+    assert caw.caw_ceiling(Technology(1.0, 2.0, 0.0), 3.0, caw.PolicyLevers(tau_c=0.0, mu=1.0)) == 6.0
+    assert caw.agent_wage(Technology(1.0, 2.0, 0.0), 3.0) == 6.0
+    fixed = supply_curve(4.0, 0.0)
+    assert caw.clear_market(fixed, demand_curve(4.0, 0.0)).price == 1.0
+    assert caw.clear_market(fixed, _DEMAND).quantity == 4.0
+    assert _statics(supply=supply_curve(0.25, 0.0)).l_h == 0.25
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: caw.caw_ceiling(Technology(-1.0, 1.0), 1.0), "lambda must be finite and > 0, got -1.0"),
+        (lambda: caw.agent_wage(Technology(1.0, 1.0, -0.5), 1.0), "g must be finite and >= 0, got -0.5"),
+        (lambda: caw.unit_cost(CesParams(1.0, 1.0, 1.0, 0.0), 1.0, 1.0),
+         "CES parameter sigma must be finite and > 0, got 0.0"),
+        (lambda: caw.clear_market(supply_curve(-1.0, 1.0), _DEMAND), "supply scale must be finite and > 0, got -1.0"),
+        (lambda: _statics(supply=supply_curve(1.0, -1.0)), "labor_supply elasticity must be finite and >= 0, got -1.0"),
+        # These reached no check before: a ceiling of -1.0, one at mu = 0.5, and nan ones.
+        (lambda: caw.caw_ceiling(Technology(1.0, 1.0), 1.0, caw.PolicyLevers(tau_c=-2.0)),
+         "tau_c must be finite and >= 0, got -2.0"),
+        (lambda: caw.caw_ceiling(Technology(1.0, 1.0), 1.0, caw.PolicyLevers(mu=0.5)),
+         "mu must be finite and >= 1, got 0.5"),
+        (lambda: caw.caw_ceiling(_TECH, math.nan), "rental rate must be finite and >= 0, got nan"),
+        (lambda: caw.agent_wage(_TECH, math.nan), "rental rate must be finite and >= 0, got nan"),
+        (lambda: caw.linear_costmin(1.0, _TECH, math.inf, 1.0), "rental rate must be finite and >= 0, got inf"),
+        (lambda: caw.solve_capped_labor_market(make_scenario(), math.nan),
+         "rental rate must be finite and >= 0, got nan"),
+        (lambda: caw.solve_statics_point(caw.StaticsSetup(_CES, 0.0, _SUPPLY, 1.0)),
+         "l_eff_demand must be finite and > 0, got 0.0"),
+        (lambda: caw.solve_statics_point(caw.StaticsSetup(_CES, 1.0, _SUPPLY, math.inf)),
+         "w_a_eff must be finite and > 0, got inf"),
+    ],
+)
+def test_library_rule_messages(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_part_that_passed_once_is_checked_again_after_a_failure():
+    # The check remembers the last part of each class that passed; a broken one never replaces it.
+    caw.caw_ceiling(_TECH, 1.0)
+    bad = _TECH._replace(k=math.nan)
+    for _ in range(2):
+        with pytest.raises(InvalidInput, match="^k must be finite"):
+            caw.caw_ceiling(bad, 1.0)
+    assert caw.caw_ceiling(_TECH, 1.0) == _TECH.lam * _TECH.k
+
+
+@pytest.mark.parametrize(
+    "curve, price, expected",
+    [
+        (demand_curve(1e-200, 2.0), 1e-171, 1e142),  # the power 1e342 overflows
+        (demand_curve(1e300, 2.0), 1e200, 1e-100),  # the power 1e-400 underflows
+        (supply_curve(1e-300, 3.0), 1e110, 1e30),
+        (supply_curve(1e300, 3.0), 1e-110, 1e-30),
+    ],
+)
+def test_curve_quantity_in_range_where_the_power_alone_is_not(curve, price, expected):
+    assert curve.quantity(price) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_curve_quantity_beyond_the_float_range_is_inf_or_zero():
+    assert supply_curve(1e300, 3.0).quantity(1e110) == math.inf
+    assert demand_curve(1e-300, 3.0).quantity(1e110) == 0.0
+
+
+@given(
+    st.floats(min_value=-300.0, max_value=300.0), st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=0.0, max_value=50.0), st.sampled_from([supply_curve, demand_curve]),
+)
+def test_curve_quantity_with_a_normal_power_is_the_plain_product(log_scale, log_price, elasticity, make):
+    curve, price = make(10.0**log_scale, elasticity), 10.0**log_price
+    try:
+        power = price ** (elasticity if curve.kind is CurveKind.SUPPLY else -elasticity)
+    except OverflowError:
+        return
+    if sys.float_info.min <= power and elasticity > 0.0:
+        assert curve.quantity(price) == curve.scale * power
