@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidInput, SolverError
+from .errors import InvalidInput
 from .model import PolicyLevers, Regime, Technology, require_part, rule_error
 
 
@@ -32,6 +32,9 @@ class Allocation(NamedTuple):
     l_a: float
     cost: float
     tie: bool = False
+
+
+CEILING = "wage ceiling lambda*k*(1+tau_c)*mu*r_c"  # its name in caw.model.in_float_range's error
 
 
 def require_rate(r_c: float) -> None:
@@ -62,13 +65,6 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     if r_c == 0.0:
         return r_c
     return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu * r_c
-
-
-def finite_ceiling(ceiling: float) -> float:
-    """``ceiling`` itself; SolverError where it overflowed the float range."""
-    if not math.isfinite(ceiling):
-        raise SolverError("wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range")
-    return ceiling
 
 
 def linear_costmin(

@@ -48,8 +48,8 @@ from typing import NamedTuple
 
 from . import constants
 from .bound import Allocation, linear_costmin
-from .errors import InvalidInput, SolverError
-from .model import _MIN_NORMAL, CesParams, Technology, _exp, require_part
+from .errors import InvalidInput
+from .model import _MIN_NORMAL, CesParams, Technology, _exp, in_float_range, require_part
 
 
 class DemandPair(NamedTuple):
@@ -135,17 +135,6 @@ def _require_positive_prices(w_h: float, w_a: float) -> None:
         raise InvalidInput(f"factor prices must be finite and > 0, got ({w_h!r}, {w_a!r})")
 
 
-def _in_range(value: float, log_value: float, what: str, zero: bool = False) -> float:
-    """``value``, or exp(log_value) where the float arithmetic that gave it
-    left the float range (0 or inf); SolverError where exp(log_value) is
-    inf, or 0 unless ``zero`` allows it."""
-    if not 0.0 < value < math.inf:
-        value = _exp(log_value)
-    if value == math.inf or (value == 0.0 and not zero):
-        raise SolverError(f"CES {what} lies outside the floating-point range")
-    return value
-
-
 def _log_quotient(x: float, y: float) -> float:
     """log(x / y), also where the quotient is subnormal (keeps too few digits) or overflows."""
     q = x / y
@@ -157,9 +146,16 @@ def _cd_log_cost(a: float, w: float) -> float:
     return a * (math.log(w) - math.log(a)) if a > 0.0 else 0.0
 
 
+def _divided(x: float, log_x: float, y: float, what: str, zero: bool = False) -> float:
+    """x / y by the float-range rule, :func:`caw.model.in_float_range`; from its
+    log, log x - log y, alone where x lost digits below the normal range."""
+    return in_float_range(x / y if x >= _MIN_NORMAL else 0.0, what, log_x - math.log(y), zero=zero)
+
+
 def _demand(c: float, w: float, share: float, log_share: float) -> float:
     """c * share / w, the demand for an input with that cost share (0 where it underflows)."""
-    return _in_range(c * share / w, math.log(c) + log_share - math.log(w), "demand", zero=True)
+    part = c * share if share >= _MIN_NORMAL else 0.0  # a subnormal share lost digits
+    return _divided(part, math.log(c) + log_share, w, "CES demand", zero=True)
 
 
 def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
@@ -176,8 +172,8 @@ def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
             return alloc
     # A step above left the float range: price the cheaper corner in logs.
     log_l, log_w = (log_h, math.log(w_h)) if humans else (log_a, math.log(w_a))
-    labor = _in_range(_exp(log_l), log_l, "demand")
-    cost = _in_range(_exp(log_l + log_w), log_l + log_w, "unit cost")
+    labor = in_float_range(_exp(log_l), "CES demand")
+    cost = in_float_range(_exp(log_l + log_w), "CES unit cost")
     return Allocation(labor, 0.0, cost) if humans else Allocation(0.0, labor, cost)
 
 
@@ -191,17 +187,15 @@ def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
         return _linear_equivalent(ces, w_h, w_a).cost
     if branch == "leontief":
         log_cost = _logaddexp(math.log(w_h), math.log(w_a)) - math.log(ces.A)
-        return _in_range((w_h + w_a) / ces.A, log_cost, "unit cost")
+        return in_float_range((w_h + w_a) / ces.A, "CES unit cost", log_cost)
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         log_cost = _cd_log_cost(a, w_h) + _cd_log_cost(b, w_a)
-        return _in_range(_exp(log_cost) / ces.A, log_cost - math.log(ces.A), "unit cost")
-
-    # bracket = alpha*(w_h/alpha)**(1-sigma) + beta*(w_a/beta)**(1-sigma)
-    log_cost = _log_power_mean(
-        ces.alpha, _log_quotient(w_h, ces.alpha), ces.beta, _log_quotient(w_a, ces.beta), 1.0 - ces.sigma
-    )
-    return _in_range(_exp(log_cost) / ces.A, log_cost - math.log(ces.A), "unit cost")
+    else:  # bracket = alpha*(w_h/alpha)**(1-sigma) + beta*(w_a/beta)**(1-sigma)
+        log_cost = _log_power_mean(
+            ces.alpha, _log_quotient(w_h, ces.alpha), ces.beta, _log_quotient(w_a, ces.beta), 1.0 - ces.sigma
+        )
+    return _divided(_exp(log_cost), log_cost, ces.A, "CES unit cost")
 
 
 def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
@@ -218,14 +212,14 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
         alloc = _linear_equivalent(ces, w_h, w_a)
         return DemandPair(l_h=alloc.l_h, l_a=alloc.l_a)
     if branch == "leontief":
-        per_unit = _in_range(1.0 / ces.A, -math.log(ces.A), "demand")
+        per_unit = in_float_range(1.0 / ces.A, "CES demand", -math.log(ces.A))
         return DemandPair(l_h=per_unit, l_a=per_unit)
     if branch == "cobb_douglas":
         a, b = _cd_exponents(ces)
         c = unit_cost(ces, w_h, w_a)
-        # An input whose exponent underflowed to 0 has no cost share, so no demand.
-        l_h = _demand(c, w_h, a, math.log(a)) if a > 0.0 else 0.0
-        return DemandPair(l_h=l_h, l_a=_demand(c, w_a, b, math.log(b)) if b > 0.0 else 0.0)
+        log_alpha, log_beta = math.log(ces.alpha), math.log(ces.beta)
+        log_total = _logaddexp(log_alpha, log_beta)  # log a = log_alpha - log_total, also where a underflows
+        return DemandPair(_demand(c, w_h, a, log_alpha - log_total), _demand(c, w_a, b, log_beta - log_total))
 
     s = 1.0 - ces.sigma
     t_h = math.log(ces.alpha) + s * _log_quotient(w_h, ces.alpha)

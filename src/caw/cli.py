@@ -26,13 +26,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bound import caw_ceiling, finite_ceiling
+from .bound import CEILING, caw_ceiling
 from .calibration import factor_shares, table1
 from .ces import DemandPair, conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
 from .model import SWEEPABLE_PARAMS, CesParams, EquilibriumResult, FactorShares, PolicyLevers, Scenario
-from .model import Technology, field_violation
+from .model import Technology, field_violation, in_float_range
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -183,7 +183,7 @@ def _cmd_bound(args) -> OutputTable:
     )
     tech = Technology(lam=args.lam, k=args.k)
     policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    ceiling = finite_ceiling(caw_ceiling(tech, args.rc, policy))
+    ceiling = in_float_range(caw_ceiling(tech, args.rc, policy), CEILING, zero=True)
     inputs = {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
     meta = standard_metadata(inputs_sha256(inputs), command="bound")
     return OutputTable(
@@ -231,7 +231,7 @@ def _cmd_trajectory(args) -> OutputTable:
         raise InvalidInput("--t-max must be >= 0")
     r_c = _rental_rate(s, args.rc)
     points = caw_trajectory(s.technology, r_c, times, s.policy)
-    finite_ceiling(points[0][1])  # the grid starts at t = 0, where the ceiling is largest
+    in_float_range(points[0][1], CEILING, zero=True)  # the grid starts at t = 0, where the ceiling is largest
     meta = standard_metadata(scenario_sha256(s), command="trajectory", r_c=r_c)
     return OutputTable(headers=("t", "ceiling"), rows=tuple(points), metadata=meta)
 
@@ -239,9 +239,7 @@ def _cmd_trajectory(args) -> OutputTable:
 def _cmd_statics(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     r_c = _rental_rate(s, args.rc)
-    w_a_eff = s.technology.k * r_c
-    if w_a_eff == math.inf:
-        raise SolverError("agent wage k*r_c lies outside the floating-point range")
+    w_a_eff = in_float_range(s.technology.k * r_c, "agent wage k*r_c") if r_c > 0.0 else r_c  # 0: an input error
     setup = StaticsSetup(ces=s.ces, l_eff_demand=args.demand, labor_supply=s.labor_supply_ts, w_a_eff=w_a_eff)
     se = semi_elasticity(setup, rel_step=args.rel_step)
     meta = standard_metadata(scenario_sha256(s), command="statics", r_c=r_c)
@@ -253,9 +251,7 @@ def _cmd_statics(args) -> OutputTable:
 def _cmd_shares(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     res = solve_scenario(s, args.mode)
-    y = res.w_h_star * res.l_h_star + res.r_c_star * res.k_c_star
-    if not math.isfinite(y):
-        raise SolverError("output value w_h*l_h + r_c*k_c lies outside the floating-point range")
+    y = in_float_range(res.w_h_star * res.l_h_star + res.r_c_star * res.k_c_star, "output value w_h*l_h + r_c*k_c")
     shares = factor_shares(res.w_h_star, res.l_h_star, res.r_c_star, res.k_c_star, y)
     meta = standard_metadata(scenario_sha256(s), command="shares", mode=args.mode)
     return OutputTable(headers=(*FactorShares._fields, "y"), rows=((*shares, y),), metadata=meta)

@@ -13,10 +13,10 @@ its parameter does not touch once for the whole grid. A capped row takes
 the compute-market price, a coupled row finds its fixed-point rate, and
 both place the labor market against the ceiling with the same
 arithmetic. A sweep may vary only the fields a solve reads,
-:data:`caw.model.SWEEPABLE_PARAMS`, and a row whose ceiling or labor
-quantities leave the float range is a SolverError row
-(:func:`caw.bound.finite_ceiling`, :data:`_LABOR_RANGE`). A clearing price
-whose scale ratio alone leaves the float range is taken in logs.
+:data:`caw.model.SWEEPABLE_PARAMS`. A clearing price whose scale ratio
+alone leaves the float range is taken in logs. A row whose clearing price,
+ceiling, labor quantities or fixed-point compute quantity leave the float
+range is a SolverError row, by the one rule :func:`caw.model.in_float_range`.
 
 Curves meet the scenario rules: a solve validates its scenario once, which
 holds every curve to them, :func:`clear_market` checks its two curves with
@@ -43,8 +43,8 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import caw_ceiling, finite_ceiling, require_rate
-from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, SolverError, ValidationError
+from .bound import CEILING, caw_ceiling, require_rate
+from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     FIELDS,
     SECTIONS,
@@ -59,6 +59,7 @@ from .model import (
     Technology,
     _exp,
     field_violation,
+    in_float_range,
     require_curve,
     validate_scenario,
 )
@@ -93,9 +94,7 @@ def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
             price = math.inf
     else:  # the ratio alone leaves the normal range; the price may not
         price = _exp((math.log(demand.scale) - math.log(supply.scale)) / total_elasticity)
-    if not 0.0 < price < math.inf:
-        raise NoEquilibrium(f"clearing price {price!r} lies outside the floating-point range")
-    return price
+    return in_float_range(price, "clearing price")
 
 
 def clear_market(
@@ -193,8 +192,7 @@ def _agent_labor(
     return supply_at, demand_at, tech.lam * max(0.0, demand_at - supply_at)
 
 
-# The SolverError of a row whose reported labor quantities are not all finite.
-_LABOR_RANGE = "labor quantity at the equilibrium wage lies outside the floating-point range"
+_LABOR = "labor quantity at the equilibrium wage"  # in its float-range error; it may underflow, not overflow
 
 
 def _place_at_ceiling(
@@ -215,7 +213,7 @@ def _place_at_ceiling(
     ceiling is positive; ``slack`` holds both curves' quantities at it, if
     known. A zero ceiling, even one that underflows at a positive rate,
     binds; the result reports ``r_c_star`` as given. A positive ceiling
-    beyond the float range raises SolverError (:func:`caw.bound.finite_ceiling`),
+    beyond the float range raises SolverError (:func:`caw.model.in_float_range`),
     after a clearing error, and so does a labor quantity the result would
     report beyond it, in either branch.
     """
@@ -223,11 +221,11 @@ def _place_at_ceiling(
     if ceiling != 0.0:
         if isinstance(w_clear, CawError):
             raise w_clear.with_traceback(None)
-        finite_ceiling(ceiling)
-        if w_clear <= ceiling:
+        if w_clear <= ceiling:  # slack, or beyond the float range
             l_h, l_d = slack or (supply.quantity(w_clear), demand.quantity(w_clear))
-            if math.inf in (l_h, l_d):
-                raise SolverError(_LABOR_RANGE)
+            if math.inf in (ceiling, l_h, l_d):  # these may underflow: only an overflow breaks the rule
+                in_float_range(ceiling, CEILING, zero=True)
+                in_float_range(math.inf, _LABOR)
             # classify_regime's band test; w_clear cannot lie above the ceiling here.
             binds = w_clear >= ceiling - constants.REGIME_BAND_ABS
             regime = Regime.MIXED if binds else Regime.HUMAN_ONLY
@@ -237,7 +235,7 @@ def _place_at_ceiling(
     supply_at_ceiling, demand_at_ceiling, l_a = _agent_labor(tech, ceiling, supply, demand)
     k_c = tech.k * l_a  # inf where l_a is
     if math.inf in (supply_at_ceiling, demand_at_ceiling, k_c):
-        raise SolverError(_LABOR_RANGE)
+        in_float_range(math.inf, _LABOR)
     return EquilibriumResult(
         Regime.MIXED, ceiling, r_c_star, ceiling, min(supply_at_ceiling, demand_at_ceiling), l_a,
         k_c, True, supply_at_ceiling, demand_at_ceiling,
@@ -274,7 +272,9 @@ def _coupled_rate(
 
     ``factor`` is the ceiling per unit rental rate of :func:`_place_at_ceiling`.
     Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
-    read without building a result; a clearing error raises first.
+    read without building a result; a clearing error raises first. An excess
+    inf - inf raises the float-range error: compute used and supplied are
+    monotone in the rate, so the quantity that clears is that large too.
     """
     if isinstance(w_clear, CawError):
         raise w_clear.with_traceback(None)
@@ -307,7 +307,10 @@ def _coupled_rate(
         else:
             derived = k * _agent_labor(tech, ceiling, supply, demand)[2]
         exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
-        return derived + exogenous - supplied(r_c)
+        value = derived + exogenous - supplied(r_c)
+        if value != value:  # NaN: inf - inf
+            in_float_range(value, "compute quantity at the fixed point")
+        return value
 
     abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
     return find_root(excess, abs_tol=abs_tol, bracket=bracket).root

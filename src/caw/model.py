@@ -37,7 +37,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SolverError
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -49,6 +49,23 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def in_float_range(value: float, what: str, log_value: float | None = None, *, zero: bool = False) -> float:
+    """The one float-range rule for a positive result ``what``: ``value`` where
+    it is a normal float, else exp(``log_value``) where the log is known and
+    that is one, else SolverError "<what> lies outside the floating-point
+    range". A site whose quantity may underflow passes ``zero`` and gets its
+    0 or subnormal (from the log if known) back instead; overflow and NaN raise."""
+    if _MIN_NORMAL <= value < math.inf:
+        return value
+    if log_value is not None:
+        value = _exp(log_value)
+        if _MIN_NORMAL <= value < math.inf:
+            return value
+    if zero and 0.0 <= value < _MIN_NORMAL:
+        return value
+    raise SolverError(f"{what} lies outside the floating-point range")
 
 
 class CurveKind(enum.Enum):

@@ -56,7 +56,7 @@ from .bound import caw_ceiling
 from .ces import _branch, _cd_exponents, _log_power_mean
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import clear_market, solve_batch
-from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, _exp
+from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, _exp, in_float_range
 from .model import PolicyLevers, Scenario, Technology, require_curve, require_part, rule_error
 from .roots import REACHABLE, find_root
 
@@ -109,14 +109,6 @@ class SweepRow(NamedTuple):
     error: str | None = None
 
 
-def _from_log(log_value: float, what: str = "agent labor") -> float:
-    """The quantity from its log; Infeasible where no positive float holds it."""
-    value = _exp(log_value)
-    if not 0.0 < value < math.inf:
-        raise Infeasible(f"{what} exp({log_value:.6g}) lies outside the floating-point range")
-    return value
-
-
 def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     """Wage and quantities satisfying supply, output, and relative-wage conditions.
 
@@ -129,9 +121,10 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     Raises InvalidInput for a setup outside the scenario rules (see the
     module docstring) and at fixed proportions, where the relative-wage
     condition does not pin w_h; Infeasible when humans alone meet the target,
-    so agents are not employed, when fixed supply cannot reach it, or when a
-    wage or quantity leaves the float range; and NoEquilibrium when the
-    search finds no root within reach.
+    so agents are not employed, or when fixed supply cannot reach it;
+    NoEquilibrium when the search finds no root within reach; and the
+    float-range SolverError of :func:`caw.model.in_float_range` when the wage
+    or a labor quantity is not a normal float.
     """
     ces, demand, supply, w_a_eff = su
     for name, value in (("l_eff_demand", demand), ("w_a_eff", w_a_eff)):
@@ -202,11 +195,9 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
             v = math.log(report.root)
         log_wh = b + v / sigma
 
-    w_h = _from_log(log_wh, "human wage")
-    l_h = supply.quantity(w_h)
-    if not 0.0 < l_h < math.inf:
-        raise Infeasible(f"human labor {l_h!r} at wage {w_h!r} lies outside the floating-point range")
-    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=_from_log(math.log(l_h) + v))
+    w_h = in_float_range(_exp(log_wh), "human wage")
+    l_h = in_float_range(supply.quantity(w_h), "human labor")
+    return StaticsPoint(w_h=w_h, l_h=l_h, l_a=in_float_range(_exp(math.log(l_h) + v), "agent labor"))
 
 
 def semi_elasticity(
@@ -225,8 +216,9 @@ def semi_elasticity(
     ces, demand, supply, w_a_eff = su
     base = solve_statics_point(su)
     # The shifted setups by positional construction, cheaper than _replace, which takes keywords.
-    minus = solve_statics_point(StaticsSetup(ces, demand, supply, w_a_eff * math.exp(-h)))
-    plus = solve_statics_point(StaticsSetup(ces, demand, supply, w_a_eff * math.exp(h)))
+    shifted = "shifted agent wage w_a_eff*exp(+-rel_step)"
+    minus = solve_statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(-h), shifted)))
+    plus = solve_statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(h), shifted)))
 
     fd = (math.log(plus.w_h) - math.log(minus.w_h)) / (2.0 * h)
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h

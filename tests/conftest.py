@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from caw import (
     CesParams,
     PolicyLevers,
     Scenario,
+    SolverError,
     Technology,
     demand_curve,
     supply_curve,
@@ -59,6 +61,15 @@ def with_field(s, param, value):
 @pytest.fixture
 def baseline_scenario():
     return make_scenario()
+
+
+@contextlib.contextmanager
+def raises_range_error(what):
+    """Expect the float-range error for ``what``: a SolverError of no subclass, with the one message."""
+    with pytest.raises(SolverError) as info:
+        yield
+    assert type(info.value) is SolverError
+    assert str(info.value) == f"{what} lies outside the floating-point range"
 
 
 def rel_err(value, expected):

@@ -1,17 +1,20 @@
+import decimal
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caw.cli import run_command
-from caw.model import SECTIONS
+from caw.constants import SIGMA_LEONTIEF_THRESHOLD
+from caw.model import SECTIONS, field_violation
 from conftest import make_scenario
 from caw import SWEEPABLE_PARAMS, CesParams, emit_scenario
 
@@ -66,16 +69,55 @@ def test_bound_with_policy_levers():
     assert float(rows[0][-1]) == 3.0
 
 
-def test_ces_command_unit_cost_and_demands():
-    code, out, _ = run(
-        ["ces", "--alpha", "0.5", "--beta", "0.5", "--sigma", "2", "--wh", "2", "--wa", "1"]
-    )
-    assert code == 0
+def _ces_reference(A, alpha, beta, sigma, wh, wa):
+    """unit_cost, l_h and l_a from the CES dual in 50-digit decimal arithmetic:
+    c = (alpha**sigma * wh**(1-sigma) + beta**sigma * wa**(1-sigma))**(1/(1-sigma)) / A,
+    at sigma = 1 c = (wh/a)**a * (wa/b)**b / A with a, b = alpha, beta over their
+    sum, and each demand c * share / w. Each result is rounded to a float once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        A, alpha, beta, sigma, wh, wa = (Decimal(x) for x in (A, alpha, beta, sigma, wh, wa))
+
+        def power(x, y):
+            return (y * x.ln()).exp()
+
+        if sigma == 1:
+            a, b = alpha / (alpha + beta), beta / (alpha + beta)
+            cost = power(wh / a, a) * power(wa / b, b) / A
+        else:
+            terms = (power(alpha, sigma) * power(wh, 1 - sigma), power(beta, sigma) * power(wa, 1 - sigma))
+            a, b = (term / sum(terms) for term in terms)
+            cost = power(sum(terms), 1 / (1 - sigma)) / A
+        return float(cost), float(cost * a / wh), float(cost * b / wa)
+
+
+@pytest.mark.parametrize(
+    "A, alpha, beta, sigma, wh, wa",
+    [
+        (1.0, 0.5, 0.5, 2.0, 2.0, 1.0),  # unit cost 8/3, demands 4/9 and 16/9
+        # exp(log cost) is a subnormal 7.2e-318 before the division by A; it
+        # printed unit_cost and l_a 2.0e-7 off.
+        (8.379154147568734e-144, 4.5953397187035976e+222, 2.4571625363005927e+229, 6.126884494331765,
+         48884.00932031987, 9.83929526647349e-44),
+        # The same at Cobb-Douglas: (wh/a)**a * (wa/b)**b is a subnormal 1.8e-315.
+        (1e-30, 1.0, 3.0, 1.0, 1e-300, 1e-320),
+        # The agents' exponent beta/(alpha+beta), 1e-346, underflows to 0, but their demand is
+        # about 1e-117; it printed 0.0.
+        (1e-30, 1e130, 1e-216, 1.0, 1e3, 1e-196),
+    ],
+    ids=["symmetric", "general-subnormal-cost", "cobb-douglas-subnormal-cost", "cobb-douglas-zero-exponent"],
+)
+def test_ces_command_unit_cost_and_demands(A, alpha, beta, sigma, wh, wa):
+    values = (A, alpha, beta, sigma, wh, wa)
+    names = ("--A", "--alpha", "--beta", "--sigma", "--wh", "--wa")
+    code, out, err = run(["ces", *(x for name, value in zip(names, values) for x in (name, repr(value)))])
+    assert code == 0, err
     _, rows = data_rows(out)
-    cost, l_h, l_a = (float(x) for x in rows[0])
-    assert cost == pytest.approx(8.0 / 3.0, rel=1e-12)
-    assert l_h == pytest.approx(4.0 / 9.0, rel=1e-12)
-    assert l_a == pytest.approx(16.0 / 9.0, rel=1e-12)
+    for cell, expected in zip(map(float, rows[0]), _ces_reference(*values)):
+        if expected < sys.float_info.min:  # a demand below the normal range may read as its underflow
+            assert cell < sys.float_info.min
+        else:
+            assert cell == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # --- scenario commands ------------------------------------------------------------
@@ -341,18 +383,25 @@ def test_shares_command(tmp_path):
     assert float(row["s_labor"]) + float(row["s_compute"]) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_shares_whose_output_value_overflows_exit_three(tmp_path):
-    # A slack ceiling of 2e200 over a clearing wage of 1e200 at 1e200 hours:
-    # every quantity is in range, but w*l + r*k is beyond the float range.
-    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e200, 0.0))
-    code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, s)])
-    assert code == 3 and out == ""
-    assert err == "error: output value w_h*l_h + r_c*k_c lies outside the floating-point range\n"
-    # Labor demand 1e300 at a binding ceiling of 2e200: agent labor 1e100 * 1e300 overflows first.
-    s = make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0))
-    code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, s)])
-    assert code == 3 and out == ""
-    assert err == "error: labor quantity at the equilibrium wage lies outside the floating-point range\n"
+@pytest.mark.parametrize(
+    "scenario, what",
+    [
+        # A slack ceiling of 2e200 over a clearing wage of 1e200 at 1e200 hours:
+        # every quantity is in range, but w*l + r*k is beyond the float range.
+        (make_scenario(lam=1e100, k=1e100, labor_demand=(1e200, 0.0)), "output value w_h*l_h + r_c*k_c"),
+        # Labor demand 1e300 at a binding ceiling of 2e200: agent labor 1e100 * 1e300 overflows first.
+        (make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0)), "labor quantity at the equilibrium wage"),
+        # A slack ceiling over a clearing wage of 1e-160 at 1e-160 hours: w*l = 1e-320
+        # is subnormal, and printed 1.1e-5 off with exit 0. At labor demand 1e-255 it
+        # underflowed to 0 and exited 2 as an input error.
+        (make_scenario(labor_demand=(1e-240, 0.5)), "output value w_h*l_h + r_c*k_c"),
+        (make_scenario(labor_demand=(1e-255, 0.5)), "output value w_h*l_h + r_c*k_c"),
+    ],
+    ids=["overflow", "labor-overflow", "subnormal", "underflow"],
+)
+def test_shares_whose_output_value_leaves_the_float_range_exit_three(tmp_path, scenario, what):
+    code, out, err = run(["shares", "--scenario", write_scenario(tmp_path, scenario)])
+    assert (code, out, err) == (3, "", f"error: {what} lies outside the floating-point range\n")
 
 
 # --- formats, files, determinism ----------------------------------------------------
@@ -576,10 +625,12 @@ def test_sweep_ceiling_beyond_float_range_is_an_error_row(mode, fmt):
     assert all(last[h] in (None, "") for h in headers if h not in ("value", "error"))
 
 
-def test_statics_agent_wage_beyond_float_range_exits_three(tmp_path):
-    # k*r_c overflows; the solve used to report agents unemployed.
-    path = write_scenario(tmp_path, make_scenario(k=1e200))
-    code, out, err = run(["statics", "--scenario", path, "--rc", "1e200"])
+@pytest.mark.parametrize("k, rc", [(1e200, "1e200"), (1e-200, "1e-200")])
+def test_statics_agent_wage_beyond_float_range_exits_three(tmp_path, k, rc):
+    # k*r_c overflows, where the solve used to report agents unemployed, or
+    # underflows to 0, which exited 2 as an input error.
+    path = write_scenario(tmp_path, make_scenario(k=k))
+    code, out, err = run(["statics", "--scenario", path, "--rc", rc, "--demand", "1"])
     assert code == 3 and out == ""
     assert err == "error: agent wage k*r_c lies outside the floating-point range\n"
 
@@ -657,11 +708,19 @@ def test_zero_ceiling_reports_the_rate_the_compute_market_set(tmp_path):
     headers, rows = data_rows(out)
     record = dict(zip(headers, rows[0]))
     assert (record["ceiling"], record["r_c_star"], record["error"]) == ("0.0", "0.5", "")
-    for mode in ("capped", "coupled"):
-        code, out, err = run(["shares", "--scenario", str(path), "--mode", mode])
-        assert code == 0, err
-        headers, rows = data_rows(out)
-        assert float(dict(zip(headers, rows[0]))["s_compute"]) == 1.0
+    # All output goes to compute. At labor demand 10 its value, 0.5 * 10 * 5e-324,
+    # is subnormal, which the float-range rule rejects; at 1e300 it is normal.
+    for scale, expected in ((10.0, 3), (1e300, 0)):
+        doc["labor_demand_ts"]["scale"] = scale
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for mode in ("capped", "coupled"):
+            code, out, err = run(["shares", "--scenario", str(path), "--mode", mode])
+            assert code == expected, err
+            if code == 3:
+                assert err == "error: output value w_h*l_h + r_c*k_c lies outside the floating-point range\n"
+                continue
+            headers, rows = data_rows(out)
+            assert float(dict(zip(headers, rows[0]))["s_compute"]) == 1.0
 
 
 def test_exit_three_on_no_equilibrium(tmp_path):
@@ -736,6 +795,17 @@ def test_labor_quantities_beyond_float_range_exit_three_or_make_an_error_row(tmp
     assert rows[0]["error"] == message and not rows[1]["error"]
 
 
+@pytest.mark.parametrize("command", ["solve", "shares"])
+def test_coupled_compute_quantity_beyond_float_range_exits_three(tmp_path, command):
+    # At the bracket end r = 1e9 agent compute use, from labor demand 10 * (1e-200 * r)**-2
+    # at the ceiling, and the supply r**400 both overflow: the search stopped on
+    # "excess is NaN". Both are monotone in r, so the quantity that clears is that large too.
+    s = make_scenario(lam=1e-200, labor_demand=(10.0, 2.0), compute_supply=(1.0, 400.0))
+    code, out, err = run([command, "--scenario", write_scenario(tmp_path, s), "--mode", "coupled"])
+    message = "compute quantity at the fixed point lies outside the floating-point range"
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_fixed_proportions_unit_cost_beyond_float_range_exits_three():
     code, out, err = run(["ces", "--A", "1e-308", "--alpha", "1", "--beta", "1", "--sigma", "1e-4",
                           "--wh", "1", "--wa", "1"])
@@ -792,25 +862,72 @@ def _document(draw):
 
 @st.composite
 def _flags(draw, command):
-    """The flags of one subcommand but table1, each float flag drawn from _ANY."""
+    """The flags of one subcommand but table1, by name, each float flag drawn
+    from _ANY; a switch such as --log maps to True."""
     def floats(*names):
-        return [x for name in names for x in (name, repr(draw(_ANY)))]
+        return {name: draw(_ANY) for name in names}
 
     if command == "bound":
         return floats("--lambda", "--k", "--rc", "--tau", "--mu")
     if command == "ces":
         return floats("--A", "--alpha", "--beta", "--sigma", "--wh", "--wa")
     if command in ("trajectory", "statics"):
-        rc = floats("--rc") if draw(st.booleans()) else []
+        rc = floats("--rc") if draw(st.booleans()) else {}
         if command == "statics":
-            return [*floats("--demand"), *rc]
-        return [*floats("--t-max"), "--steps", str(draw(st.integers(1, 3))), *rc]
-    mode = ["--mode", draw(st.sampled_from(["capped", "coupled"]))]
+            return {**floats("--demand"), **rc}
+        return {**floats("--t-max"), "--steps": draw(st.integers(1, 3)), **rc}
+    mode = {"--mode": draw(st.sampled_from(["capped", "coupled"]))}
     if command == "sweep":
-        grid = [*floats("--from", "--to"), "--steps", str(draw(st.integers(1, 4)))]
-        log = ["--log"] if draw(st.booleans()) else []
-        return ["--param", draw(st.sampled_from(SWEEPABLE_PARAMS)), *grid, *log, *mode]
+        grid = {**floats("--from", "--to"), "--steps": draw(st.integers(1, 4))}
+        log = {"--log": True} if draw(st.booleans()) else {}
+        return {"--param": draw(st.sampled_from(SWEEPABLE_PARAMS)), **grid, **log, **mode}
     return mode
+
+
+@st.composite
+def _invocation(draw):
+    """A subcommand but table1, its flags, and its scenario document (None for bound and ces)."""
+    command = draw(st.sampled_from(["bound", "ces", "solve", "sweep", "trajectory", "statics", "shares"]))
+    return command, draw(_flags(command)), None if command in ("bound", "ces") else draw(_document())
+
+
+# The model flags that share a scenario field's rule, and those that must be > 0.
+_FLAG_FIELDS = {
+    "--lambda": "technology.lambda", "--k": "technology.k", "--tau": "policy.tau_c", "--mu": "policy.mu",
+    "--A": "ces.A", "--alpha": "ces.alpha", "--beta": "ces.beta", "--sigma": "ces.sigma",
+}
+_POSITIVE_FLAGS = ("--wh", "--wa", "--demand")
+
+
+def _breaks_a_rule(command, flags, doc):
+    """Whether the inputs break a rule stated for them: a document field's or a
+    model flag's (caw.model.field_violation), or a rule the README states for a
+    flag or a command."""
+    fields = {path: flags[name] for name, path in _FLAG_FIELDS.items() if name in flags}
+    positive = [flags[name] for name in _POSITIVE_FLAGS if name in flags]
+    if command == "statics" and "--rc" in flags:
+        positive.append(flags["--rc"])  # the agent wage k * rc must be > 0
+    if flags.get("--log"):
+        positive += [flags["--from"], flags["--to"]]
+    if doc is not None:
+        for section in SECTIONS:
+            part = doc[section.key]
+            if part is not None:
+                fields.update((f.path, part if section.kind is float else part[f.key]) for f in section.fields)
+        if doc["compute_demand"] is None and (
+            command in ("solve", "shares") and flags["--mode"] == "capped"
+            or command in ("trajectory", "statics") and "--rc" not in flags
+            or flags.get("--param", "").startswith("compute_demand.")
+        ):
+            return True  # the rental rate comes from exogenous compute demand, or that is swept
+        if command == "statics" and doc["ces"]["sigma"] <= SIGMA_LEONTIEF_THRESHOLD:
+            return True  # at fixed proportions the relative wage does not pin w_h
+    return any(field_violation(path, value) for path, value in fields.items()) or min(positive, default=1.0) <= 0.0
+
+
+def _baseline_with(**parts):
+    doc = json.loads(Path(BASELINE).read_text(encoding="utf-8"))
+    return {**doc, **parts}
 
 
 @pytest.fixture(scope="module")
@@ -819,17 +936,28 @@ def fuzz_scenario(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_every_command_keeps_the_exit_code_contract(fuzz_scenario, data):
-    # Exit 0, 2 or 3 and nothing raised out of run_command; on exit 0 every
-    # float cell of a row that is not an error row is finite.
-    command = data.draw(st.sampled_from(["bound", "ces", "solve", "sweep", "trajectory", "statics", "shares"]))
-    argv = [command, *data.draw(_flags(command)), "--format", "json"]
-    if command not in ("bound", "ces"):
-        fuzz_scenario.write_text(json.dumps(data.draw(_document())), encoding="utf-8")
+@given(invocation=_invocation())
+# Solver failures that exited 2 as input errors: an output value that underflows
+# to 0, and an agent wage k * rc that does.
+@example(invocation=("shares", {"--mode": "capped"}, _baseline_with(
+    labor_supply_ts={"scale": 1.0, "elasticity": 1.0}, labor_demand_ts={"scale": 1e-255, "elasticity": 0.5})))
+@example(invocation=("statics", {"--demand": 1.0, "--rc": 1e-200}, _baseline_with(
+    technology={"lambda": 1.0, "k": 1e-200, "g": 0.0})))
+def test_every_command_keeps_the_exit_code_contract(fuzz_scenario, invocation):
+    # Exit 0, 2 or 3 and nothing raised out of run_command; exit 2 only where
+    # the inputs break a stated rule; on exit 0 every float cell of a row that
+    # is not an error row is finite.
+    command, flags, doc = invocation
+    argv = [command, "--format", "json"]
+    for name, value in flags.items():
+        argv += [name] if value is True else [name, str(value)]
+    if doc is not None:
+        fuzz_scenario.write_text(json.dumps(doc), encoding="utf-8")
         argv += ["--scenario", str(fuzz_scenario)]
-    code, out, _ = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 2, 3)
+    if code == 2:
+        assert _breaks_a_rule(command, flags, doc), err
     if code == 0:
         table = json.loads(out)
         for row in table["rows"]:

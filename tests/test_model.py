@@ -20,8 +20,8 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
-from caw.model import SECTIONS, Scenario
-from conftest import make_scenario
+from caw.model import SECTIONS, Scenario, in_float_range
+from conftest import make_scenario, raises_range_error
 
 
 def test_schema_table_places_every_scenario_field():
@@ -357,3 +357,47 @@ def test_curve_quantity_with_a_normal_power_is_the_plain_product(log_scale, log_
         return
     if sys.float_info.min <= power and elasticity > 0.0:
         assert curve.quantity(price) == curve.scale * power
+
+
+# --- the float-range rule ----------------------------------------------------------
+
+_TINY = 1e-310  # subnormal: it keeps about 14 of a double's 16 digits
+
+
+@pytest.mark.parametrize("value", [sys.float_info.min, 1.0, 2.5e-300, sys.float_info.max])
+@pytest.mark.parametrize("zero", [False, True])
+def test_a_normal_value_comes_back_as_the_same_object(value, zero):
+    value = float(value)  # a fresh object per call
+    assert in_float_range(value, "x", math.log(value) + 1.0, zero=zero) is value
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_a_value_beyond_the_normal_range_is_recomputed_from_its_log(zero):
+    assert in_float_range(_TINY, "x", math.log(3e-300), zero=zero) == math.exp(math.log(3e-300))
+    assert in_float_range(math.inf, "x", math.log(1e300), zero=zero) == math.exp(math.log(1e300))
+
+
+@pytest.mark.parametrize(
+    "value, log_value",
+    [
+        (0.0, None), (0.0, -800.0), (0.0, -math.inf), (_TINY, None), (_TINY, math.log(_TINY)),
+        (math.inf, None), (math.inf, 800.0), (math.nan, None), (math.nan, math.nan), (-1.0, None),
+    ],
+)
+def test_values_outside_the_normal_range_raise_one_error(value, log_value):
+    with raises_range_error("x"):
+        in_float_range(value, "x", log_value)
+
+
+@pytest.mark.parametrize(
+    "value, log_value, expected",
+    [(0.0, None, 0.0), (0.0, -800.0, 0.0), (_TINY, None, _TINY), (0.0, math.log(_TINY), math.exp(math.log(_TINY)))],
+)
+def test_a_site_that_may_underflow_gets_its_underflow_back(value, log_value, expected):
+    assert in_float_range(value, "x", log_value, zero=True) == expected
+
+
+@pytest.mark.parametrize("value, log_value", [(math.inf, None), (math.inf, 800.0), (math.nan, None), (-0.5, None)])
+def test_a_site_that_may_underflow_still_raises_on_overflow_and_nan(value, log_value):
+    with raises_range_error("x"):
+        in_float_range(value, "x", log_value, zero=True)

@@ -31,7 +31,7 @@ from caw import (
 from caw import constants, markets, statics
 from caw.model import IsoElasticCurve
 from caw.roots import find_root
-from conftest import make_scenario, rel_err, with_field
+from conftest import make_scenario, raises_range_error, rel_err, with_field
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
 
@@ -120,20 +120,28 @@ def test_statics_point_linear_corner_is_infeasible():
 
 
 @pytest.mark.parametrize("scale", [1e-40, 1e40])
-def test_statics_point_agent_labor_beyond_float_range_is_infeasible(scale):
-    # Cobb-Douglas with exponents 0.95/0.05: l_a = l_h**-19, beyond any float.
+def test_statics_point_wage_beyond_float_range_is_a_range_error(scale):
+    # Cobb-Douglas with exponents 0.95/0.05: l_a = l_h**-19, and w_h with it, beyond any float.
     ces = CesParams(A=1.0, alpha=0.95, beta=0.05, sigma=1.0)
     su = StaticsSetup(ces=ces, l_eff_demand=1.0, labor_supply=supply_curve(scale, 0.0), w_a_eff=1.0)
-    with pytest.raises(Infeasible, match="floating-point range"):
+    with raises_range_error("human wage"):
         solve_statics_point(su)
 
 
-def test_cobb_douglas_human_labor_beyond_float_range_is_infeasible():
+def test_cobb_douglas_human_labor_beyond_float_range_is_a_range_error():
     # The agents' exponent underflows to 0, so l_h = T/A = 1e-400 at a wage near 1e-100.
     ces = CesParams(A=1e200, alpha=1e300, beta=1e-300, sigma=1.0)
     su = StaticsSetup(ces=ces, l_eff_demand=1e-200, labor_supply=supply_curve(1e-300, 1.0), w_a_eff=1.0)
-    with pytest.raises(Infeasible, match=r"^human labor 0\.0 at wage .* lies outside the floating-point range$"):
+    with raises_range_error("human labor"):
         solve_statics_point(su)
+
+
+def test_semi_elasticity_shifted_wage_beyond_float_range_is_a_range_error():
+    # The base point solves, but w_a_eff * exp(rel_step) overflows; it was an InvalidInput.
+    su = StaticsSetup(ces=SYM, l_eff_demand=1.0, labor_supply=supply_curve(1.0, 0.0), w_a_eff=1.7976e308)
+    assert solve_statics_point(su).w_h > 0.0
+    with raises_range_error("shifted agent wage w_a_eff*exp(+-rel_step)"):
+        semi_elasticity(su)
 
 
 # The ranges of perfbench's statics_grid pool.
