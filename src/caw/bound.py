@@ -8,17 +8,15 @@ employed, and cost minimization picks a corner whenever the two per-unit
 costs differ.
 
 Every entry holds its technology, and ``caw_ceiling`` its policy, to the
-scenario rules (:func:`caw.model.require_part`), and a rental rate to the one
-rate rule, :func:`require_rate`: finite and >= 0.
+scenario rules (:func:`caw.model.require_part`), a rental rate to :func:`require_rate`
+(finite and >= 0), and each other number to its lower bound (:func:`caw.model.require`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .errors import InvalidInput
-from .model import PolicyLevers, Regime, Technology, require_part, rule_error
+from .model import PolicyLevers, Regime, Technology, require, require_part, rule_error, within
 
 
 class Allocation(NamedTuple):
@@ -39,7 +37,7 @@ CEILING = "wage ceiling lambda*k*(1+tau_c)*mu*r_c"  # its name in caw.model.in_f
 
 def require_rate(r_c: float) -> None:
     """The one rental-rate rule: InvalidInput unless ``r_c`` is finite and >= 0."""
-    if not 0.0 <= r_c < math.inf:
+    if not within(r_c, 0.0, True):  # require's test, one call fewer on the sweep path
         raise rule_error("rental rate", r_c, 0.0, True)
 
 
@@ -83,10 +81,8 @@ def linear_costmin(
     flips that) and the tie is flagged so the choice is auditable.
     """
     require_part(tech)
-    if effective_units <= 0.0:
-        raise InvalidInput(f"effective_units must be > 0, got {effective_units!r}")
-    if w_h < 0.0:
-        raise InvalidInput(f"wage must be nonnegative, got {w_h!r}")
+    require("effective_units", effective_units)
+    require("w_h", w_h, 0.0, True)
     require_rate(r_c)
 
     human_cost = w_h * effective_units
@@ -105,13 +101,12 @@ def linear_costmin(
 def classify_regime(w_h_candidate: float, ceiling: float, tolerance: float) -> Regime:
     """Place a candidate wage relative to the ceiling within an absolute band.
 
-    The band is an explicit argument rather than a hidden constant because
-    upstream solvers need to control it.
+    The band is an explicit argument, for the caller to set: no solver calls
+    this, as the market solvers inline the test with ``constants.REGIME_BAND_ABS``.
     """
-    if w_h_candidate < 0.0 or ceiling < 0.0:
-        raise InvalidInput("wage and ceiling must be nonnegative")
-    if not (tolerance > 0.0) or not math.isfinite(tolerance):
-        raise InvalidInput(f"tolerance must be > 0, got {tolerance!r}")
+    require("w_h_candidate", w_h_candidate, 0.0, True)
+    require("ceiling", ceiling, 0.0, True)
+    require("tolerance", tolerance)
     if w_h_candidate < ceiling - tolerance:
         return Regime.HUMAN_ONLY
     if w_h_candidate > ceiling + tolerance:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidInput
-from .model import FactorShares, TaskProfile
+from .model import FactorShares, TaskProfile, require
 
 # Reference grid axes: productivity ratios x (compute intensity, rental rate).
 CALIBRATION_LAMBDAS: tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -54,8 +53,7 @@ def occupation_wage(profile: TaskProfile, ceiling: float) -> float:
     so two occupations with equal credentials but different task mixes
     diverge as the ceiling falls.
     """
-    if ceiling < 0.0:
-        raise InvalidInput(f"ceiling must be nonnegative, got {ceiling!r}")
+    require("ceiling", ceiling, 0.0, True)
     capped = min(profile.w_counterfactual, ceiling)
     return profile.s_sub * capped + (1.0 - profile.s_sub) * profile.w_comp
 
@@ -65,9 +63,7 @@ def factor_shares(w_h: float, l_h: float, r_c: float, k_c: float, y: float) -> F
 
     When y is constructed as total two-factor payments the shares sum to one.
     """
-    if not (y > 0.0):
-        raise InvalidInput(f"output value must be > 0, got {y!r}")
+    require("y", y)
     for name, value in (("w_h", w_h), ("l_h", l_h), ("r_c", r_c), ("k_c", k_c)):
-        if value < 0.0:
-            raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
+        require(name, value, 0.0, True)
     return FactorShares(s_labor=w_h * l_h / y, s_compute=r_c * k_c / y)

@@ -38,7 +38,8 @@ Zero inputs with rho < 0 are a zero-output limit, returned as an explicit
 0.0 rather than raised, because corner scans need the value.
 
 Every entry holds its parameters to the scenario rules for ``ces``
-(:func:`caw.model.require_part`), else InvalidInput.
+(:func:`caw.model.require_part`) and each price or quantity it takes to its
+lower bound (:func:`caw.model.require`), else InvalidInput.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from typing import NamedTuple
 
 from . import constants
 from .bound import Allocation, linear_costmin
-from .errors import InvalidInput
-from .model import _MIN_NORMAL, CesParams, Technology, _exp, in_float_range, require_part
+from .model import _MIN_NORMAL, CesParams, Technology, _exp, in_float_range, require, require_part
 
 
 class DemandPair(NamedTuple):
@@ -80,8 +80,8 @@ def _cd_exponents(ces: CesParams) -> tuple[float, float]:
 def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
     """Effective labor produced by the bundle (l_h, l_a)."""
     require_part(ces, "CES parameter ")
-    if l_h < 0.0 or l_a < 0.0:
-        raise InvalidInput(f"labor inputs must be nonnegative, got ({l_h!r}, {l_a!r})")
+    require("l_h", l_h, 0.0, True)
+    require("l_a", l_a, 0.0, True)
 
     branch = _branch(ces.sigma)
     if branch == "linear":
@@ -130,11 +130,6 @@ def _log_power_mean(alpha: float, u: float, beta: float, v: float, p: float) -> 
     return _logaddexp(t_h, t_a) / p
 
 
-def _require_positive_prices(w_h: float, w_a: float) -> None:
-    if not (w_h > 0.0) or not (w_a > 0.0) or not math.isfinite(w_h) or not math.isfinite(w_a):
-        raise InvalidInput(f"factor prices must be finite and > 0, got ({w_h!r}, {w_a!r})")
-
-
 def _log_quotient(x: float, y: float) -> float:
     """log(x / y), also where the quotient is subnormal (keeps too few digits) or overflows."""
     q = x / y
@@ -172,7 +167,7 @@ def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
             return alloc
     # A step above left the float range: price the cheaper corner in logs.
     log_l, log_w = (log_h, math.log(w_h)) if humans else (log_a, math.log(w_a))
-    labor = in_float_range(_exp(log_l), "CES demand")
+    labor = in_float_range(_exp(log_l), "CES demand", zero=True)
     cost = in_float_range(_exp(log_l + log_w), "CES unit cost")
     return Allocation(labor, 0.0, cost) if humans else Allocation(0.0, labor, cost)
 
@@ -180,7 +175,8 @@ def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
 def unit_cost(ces: CesParams, w_h: float, w_a: float) -> float:
     """Minimal cost of one unit of effective labor at the given prices."""
     require_part(ces, "CES parameter ")
-    _require_positive_prices(w_h, w_a)
+    require("w_h", w_h)
+    require("w_a", w_a)
 
     branch = _branch(ces.sigma)
     if branch == "linear":
@@ -205,7 +201,8 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
     ``w_h*l_h + w_a*l_a == unit_cost`` within the duality tolerance.
     """
     require_part(ces, "CES parameter ")
-    _require_positive_prices(w_h, w_a)
+    require("w_h", w_h)
+    require("w_a", w_a)
 
     branch = _branch(ces.sigma)
     if branch == "linear":
@@ -234,8 +231,8 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
 def relative_wage(ces: CesParams, l_h: float, l_a: float) -> float:
     """Marginal-rate-of-substitution wage ratio (alpha/beta)*(l_h/l_a)**(-1/sigma)."""
     require_part(ces, "CES parameter ")
-    if not (l_h > 0.0) or not (l_a > 0.0):
-        raise InvalidInput(f"labor quantities must be > 0, got ({l_h!r}, {l_a!r})")
+    require("l_h", l_h)
+    require("l_a", l_a)
     log_ratio = math.log(l_h) - math.log(l_a)
     return (ces.alpha / ces.beta) * math.exp(-log_ratio / ces.sigma)
 
@@ -249,7 +246,6 @@ def leontief_requirements(ces: CesParams, l_eff_target: float) -> DemandPair:
     small sigma by the test suite.
     """
     require_part(ces, "CES parameter ")
-    if not (l_eff_target > 0.0):
-        raise InvalidInput(f"target must be > 0, got {l_eff_target!r}")
+    require("l_eff_target", l_eff_target)
     per_input = l_eff_target / ces.A
     return DemandPair(l_h=per_input, l_a=per_input)

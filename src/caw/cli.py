@@ -26,13 +26,13 @@ import os
 import sys
 from pathlib import Path
 
-from .bound import CEILING, caw_ceiling
+from .bound import CEILING, caw_ceiling, require_rate
 from .calibration import factor_shares, table1
 from .ces import DemandPair, conditional_demands, unit_cost
 from .errors import InvalidInput, ParseError, SolverError, ValidationError
 from .markets import solve_compute_market, solve_scenario
 from .model import SWEEPABLE_PARAMS, CesParams, EquilibriumResult, FactorShares, PolicyLevers, Scenario
-from .model import Technology, field_violation, in_float_range
+from .model import Technology, field_violation, in_float_range, require
 from .scenario_io import (
     OutputTable,
     emit_table,
@@ -155,8 +155,7 @@ def _load_scenario(path: str) -> Scenario:
 
 def _rental_rate(s: Scenario, override: float | None) -> float:
     if override is not None:
-        if override < 0.0:
-            raise InvalidInput(f"--rc must be nonnegative, got {override!r}")
+        require_rate(override)
         return override
     return solve_compute_market(s).price
 
@@ -227,8 +226,7 @@ def _cmd_sweep(args) -> OutputTable:
 def _cmd_trajectory(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     times = grid(0.0, args.t_max, args.steps)
-    if args.t_max < 0.0:
-        raise InvalidInput("--t-max must be >= 0")
+    require("--t-max", args.t_max, 0.0, True)
     r_c = _rental_rate(s, args.rc)
     points = caw_trajectory(s.technology, r_c, times, s.policy)
     in_float_range(points[0][1], CEILING, zero=True)  # the grid starts at t = 0, where the ceiling is largest

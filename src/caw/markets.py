@@ -62,6 +62,7 @@ from .model import (
     in_float_range,
     require_curve,
     validate_scenario,
+    within,
 )
 from .roots import DEFAULT_BRACKET, REACHABLE, find_root
 
@@ -370,7 +371,7 @@ def solve_batch(
     else:
         attr, make = _swept_holder(s, param)
         at = _PARTS.index(attr)
-        holds = FIELDS[param].holds  # field_violation's test, without its lookups per row
+        field = FIELDS[param]  # field_violation's rule, looked up once for every row
 
     # The compute price on exogenous demand: a capped row's rate, and a
     # coupled row's closed form where the ceiling is slack. Left None when a
@@ -392,7 +393,7 @@ def solve_batch(
     rows: list[EquilibriumResult | CawError] = []
     for value in values:
         if attr is not None:
-            if not holds(value):
+            if not within(value, field.bound, field.inclusive):
                 rows.append(ValidationError([field_violation(param, value)]))
                 continue
             parts[at] = make(value)

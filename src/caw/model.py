@@ -27,7 +27,8 @@ Construction is deliberately permissive: invalid parameter combinations are
 reported by :func:`validate_scenario` as a list of violations rather than
 raised at construction time, so a whole document's problems surface at once.
 Operations, by contrast, raise :class:`~caw.errors.InvalidInput` when handed
-arguments that violate their preconditions.
+arguments that violate their preconditions; every lower bound, on a record's field
+(:func:`require_part`) or a bare number (:func:`require`), is the one rule :func:`within`.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class IsoElasticCurve(NamedTuple):
     def quantity(self, price: float) -> float:
         """Quantity at ``price`` (> 0); ``inf`` where it overflows. Where the
         power alone is not a normal float, the product is taken in logs."""
-        if price <= 0.0 or not math.isfinite(price):
-            raise InvalidInput(f"curve evaluated at non-positive price {price!r}")
+        if not 0.0 < price < math.inf:
+            raise rule_error("price", price, 0.0, False)
         kind, scale, elasticity = self
         if elasticity == 0.0:
             return scale
@@ -164,8 +165,8 @@ class FactorPrices(NamedTuple):
 
     @classmethod
     def from_technology(cls, tech: Technology, w_h: float, r_c: float) -> "FactorPrices":
-        if w_h < 0.0 or r_c < 0.0:
-            raise InvalidInput("factor prices must be nonnegative")
+        require("w_h", w_h, 0.0, True)
+        require("r_c", r_c, 0.0, True)
         return cls(w_h=w_h, w_a_eff=tech.k * r_c, r_c=r_c)
 
 
@@ -204,8 +205,8 @@ class TaskProfile(_TaskProfile):
             raise InvalidInput(f"s_sub must lie in [0, 1], got {s_sub!r}")
         if w_counterfactual is None:
             w_counterfactual = w_comp
-        if w_comp < 0.0 or w_counterfactual < 0.0:
-            raise InvalidInput("task wages must be nonnegative")
+        require("w_comp", w_comp, 0.0, True)
+        require("w_counterfactual", w_counterfactual, 0.0, True)
         return super().__new__(cls, s_sub, w_comp, w_counterfactual)
 
 
@@ -279,10 +280,6 @@ class Field(NamedTuple):
     inclusive: bool  # whether the bound itself is allowed
     nonfinite: Violation
     below: Violation
-
-    def holds(self, value) -> bool:
-        """Whether the number ``value`` is finite and above the bound (or at an inclusive one)."""
-        return self.bound < value < math.inf or self.inclusive and value == self.bound
 
 
 class Section(NamedTuple):
@@ -382,12 +379,25 @@ def field_violation(path: str, value) -> Violation | None:
     f = FIELDS[path]
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         return f.nonfinite
-    return None if f.holds(value) else f.below
+    return None if within(value, f.bound, f.inclusive) else f.below
+
+
+def within(value, bound: float = 0.0, inclusive: bool = False) -> bool:
+    """The one lower-bound rule: whether the number ``value`` is finite and > ``bound`` (>= if ``inclusive``)."""
+    return bound < value < math.inf or inclusive and value == bound
 
 
 def rule_error(name: str, value, bound: float, inclusive: bool) -> InvalidInput:
     """InvalidInput for ``value`` of ``name`` outside the finite values > ``bound`` (>= where ``inclusive``)."""
     return InvalidInput(f"{name} must be finite and {'>=' if inclusive else '>'} {bound:g}, got {value!r}")
+
+
+def require(name: str, value, bound: float = 0.0, inclusive: bool = False) -> None:
+    """Raise :func:`rule_error`'s InvalidInput unless ``value``, the number
+    ``name``, meets :func:`within`. Every library entry checks its bare-number
+    arguments with it, as :func:`require_part` checks its records' fields."""
+    if not within(value, bound, inclusive):
+        raise rule_error(name, value, bound, inclusive)
 
 
 # Each model record's fields in SECTIONS; every curve section states the same rule.
@@ -398,13 +408,13 @@ _PASSED: dict = {}
 
 def require_part(part, prefix: str = "") -> None:
     """Raise InvalidInput unless each field of ``part`` (a Technology, CesParams,
-    PolicyLevers or curve) meets its scenario rule, :meth:`Field.holds`; the
+    PolicyLevers or curve) meets its scenario rule, :func:`within`; the
     message names the field's document key after ``prefix``."""
     cls = type(part)
     if _PASSED.get(cls) is not part:
         fields = _PART_FIELDS[cls]
         for f, value in zip(fields, part[-len(fields):]):  # a curve's kind comes first
-            if not f.holds(value):
+            if not within(value, f.bound, f.inclusive):
                 raise rule_error(prefix + f.key, value, f.bound, f.inclusive)
         _PASSED[cls] = part
 

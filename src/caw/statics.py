@@ -5,8 +5,8 @@ sweeps over the fields a solve reads (:data:`caw.model.SWEEPABLE_PARAMS`).
 Inputs are held to the scenario rules, else InvalidInput: each curve
 argument to :func:`caw.model.require_curve`, a statics setup's CES
 parameters to :func:`caw.model.require_part`, a policy to it through
-:func:`caw.bound.caw_ceiling`, and a setup's effective-labor demand and
-agent wage to finite values > 0, with messages of the same form.
+:func:`caw.bound.caw_ceiling`, and each bare number (a setup's demand and agent
+wage, times, ceilings) to its lower bound by :func:`caw.model.require`.
 
 The pass-through identity checked here is
 
@@ -57,7 +57,7 @@ from .ces import _branch, _cd_exponents, _log_power_mean
 from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import clear_market, solve_batch
 from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, _exp, in_float_range
-from .model import PolicyLevers, Scenario, Technology, require_curve, require_part, rule_error
+from .model import PolicyLevers, Scenario, Technology, require, require_curve, require_part
 from .roots import REACHABLE, find_root
 
 
@@ -127,9 +127,8 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     or a labor quantity is not a normal float.
     """
     ces, demand, supply, w_a_eff = su
-    for name, value in (("l_eff_demand", demand), ("w_a_eff", w_a_eff)):
-        if not 0.0 < value < math.inf:
-            raise rule_error(name, value, 0.0, False)
+    require("l_eff_demand", demand)
+    require("w_a_eff", w_a_eff)
     require_curve(supply, CurveKind.SUPPLY, "labor_supply")
     require_part(ces, "CES parameter ")
     A, alpha, beta, sigma = ces
@@ -246,8 +245,7 @@ def caw_trajectory(
     base = caw_ceiling(tech, r_c, policy)
     previous = None
     for t in t_grid:
-        if t < 0.0:
-            raise InvalidInput(f"trajectory times must be nonnegative, got {t!r}")
+        require("trajectory time", t, 0.0, True)
         if previous is not None and t < previous:
             raise InvalidInput("trajectory time grid must be ascending")
         previous = t
@@ -273,8 +271,8 @@ def wage_bill_response(
     states at the stated ceilings regardless. Curves outside
     :func:`caw.model.require_curve` raise InvalidInput.
     """
-    if ceiling_before <= 0.0 or ceiling_after <= 0.0:
-        raise InvalidInput("ceilings must be > 0")
+    require("ceiling_before", ceiling_before)
+    require("ceiling_after", ceiling_after)
     require_curve(output_demand, CurveKind.DEMAND, "output_demand")
     require_curve(labor_supply, CurveKind.SUPPLY, "labor_supply")
     if check_binding:
@@ -310,11 +308,14 @@ def grid(start: float, stop: float, steps: int, log: bool = False) -> list[float
     over the linear grid of log10 endpoints, both endpoints pinned and every
     value kept between them, so the grid is monotone and finite.
 
-    Raises InvalidInput for ``steps < 1``, a nonpositive endpoint of a log grid,
-    and endpoints whose difference overflows.
+    Raises InvalidInput for ``steps < 1``, endpoints whose difference is not
+    finite (as where one is not), and a nonpositive endpoint of a log grid.
     """
     if steps < 1:
         raise InvalidInput("--steps must be >= 1")
+    delta = stop - start  # not finite where an endpoint is not
+    if not math.isfinite(delta):
+        raise InvalidInput(f"grid from {start!r} to {stop!r} spans more than the float range")
     if log:
         if start <= 0.0 or stop <= 0.0:
             raise InvalidInput("--log grids need positive endpoints")
@@ -322,9 +323,6 @@ def grid(start: float, stop: float, steps: int, log: bool = False) -> list[float
         lo, hi = min(start, stop), max(start, stop)
         inner = [hi if (p := 10.0**v) > hi else lo if p < lo else p for v in exps[1:-1]]
         return [start, *inner, stop] if steps > 1 else [start]
-    delta = stop - start
-    if not math.isfinite(delta):
-        raise InvalidInput(f"grid from {start!r} to {stop!r} spans more than the float range")
     div = steps - 1
     if div == 0:
         return [0.0 * delta + start]

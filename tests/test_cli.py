@@ -120,6 +120,19 @@ def test_ces_command_unit_cost_and_demands(A, alpha, beta, sigma, wh, wa):
             assert cell == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_ces_perfect_substitutes_corner_demand_below_the_normal_range_prints():
+    # sigma >= 1e6 takes the linear branch, here priced in logs as A*alpha overflows. The human
+    # corner's demand 1/(A*alpha) is subnormal; it exited 3, while sigma = 1e5 printed.
+    code, out, err = run(
+        ["ces", "--A", "1e300", "--alpha", "1e10", "--beta", "1", "--sigma", "1e7", "--wh", "1e100", "--wa", "1e120"]
+    )
+    assert code == 0, err
+    headers, rows = data_rows(out)
+    row = dict(zip(headers, map(float, rows[0])))
+    assert row["l_h"] == pytest.approx(1e-310, rel=1e-12, abs=0.0)
+    assert row["l_a"] == 0.0
+
+
 # --- scenario commands ------------------------------------------------------------
 
 
@@ -256,6 +269,27 @@ def test_sweep_log_grid_pins_both_endpoints():
     ids=["log-zero", "log-negative-from", "log-negative-to", "sweep-steps", "trajectory-steps"],
 )
 def test_grid_commands_reject_bad_grids(argv, message):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+_RATE_RULE = "rental rate must be finite and >= 0, got -1.0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--lambda", "1", "--k", "1", "--rc", "-1"], _RATE_RULE),
+        # These two said "--rc must be nonnegative, got -1.0".
+        (["trajectory", "--scenario", BASELINE, "--t-max", "1", "--steps", "2", "--rc", "-1"], _RATE_RULE),
+        (["statics", "--scenario", BASELINE, "--rc", "-1"], _RATE_RULE),
+        (["trajectory", "--scenario", BASELINE, "--t-max", "-1", "--steps", "2"],
+         "--t-max must be finite and >= 0, got -1.0"),
+    ],
+    ids=["bound-rc", "trajectory-rc", "statics-rc", "trajectory-t-max"],
+)
+def test_number_flags_below_their_bound_name_the_one_rule(argv, message):
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"

@@ -69,6 +69,9 @@ def test_log_grid_near_the_float_maximum_stays_finite():
         ((0.0, 2.0, 3, True), "--log grids need positive endpoints"),
         ((1.0, -2.0, 3, True), "--log grids need positive endpoints"),
         ((-1e308, 1e308, 3), "spans more than the float range"),
+        # A non-finite endpoint, named as given: these gave a grid ending in inf, and a message about log10(1.0).
+        ((1.0, math.inf, 3, True), "^grid from 1.0 to inf spans more than the float range$"),
+        ((math.nan, 1.0, 3, True), "^grid from nan to 1.0 spans more than the float range$"),
     ],
 )
 def test_grid_rejections(args, message):

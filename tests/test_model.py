@@ -286,6 +286,67 @@ def test_fields_at_their_inclusive_bounds_pass_every_entry():
     assert _statics(supply=supply_curve(0.25, 0.0)).l_h == 0.25
 
 
+# (entry, a bare-number argument's name in its messages, its bound, whether the
+# bound itself is allowed, the call given that number)
+_NUMBERS = [
+    ("caw_ceiling", "rental rate", 0.0, True, lambda x: caw.caw_ceiling(_TECH, x)),
+    ("agent_wage", "rental rate", 0.0, True, lambda x: caw.agent_wage(_TECH, x)),
+    ("linear_costmin", "w_h", 0.0, True, lambda x: caw.linear_costmin(x, _TECH, 1.0, 1.0)),
+    ("linear_costmin", "rental rate", 0.0, True, lambda x: caw.linear_costmin(1.0, _TECH, x, 1.0)),
+    ("linear_costmin", "effective_units", 0.0, False, lambda x: caw.linear_costmin(1.0, _TECH, 1.0, x)),
+    ("classify_regime", "w_h_candidate", 0.0, True, lambda x: caw.classify_regime(x, 1.0, 1e-9)),
+    ("classify_regime", "ceiling", 0.0, True, lambda x: caw.classify_regime(1.0, x, 1e-9)),
+    ("classify_regime", "tolerance", 0.0, False, lambda x: caw.classify_regime(1.0, 1.0, x)),
+    ("occupation_wage", "ceiling", 0.0, True, lambda x: caw.occupation_wage(TaskProfile(0.5, 1.0), x)),
+    ("factor_shares", "w_h", 0.0, True, lambda x: caw.factor_shares(x, 1.0, 1.0, 1.0, 2.0)),
+    ("factor_shares", "l_h", 0.0, True, lambda x: caw.factor_shares(1.0, x, 1.0, 1.0, 2.0)),
+    ("factor_shares", "r_c", 0.0, True, lambda x: caw.factor_shares(1.0, 1.0, x, 1.0, 2.0)),
+    ("factor_shares", "k_c", 0.0, True, lambda x: caw.factor_shares(1.0, 1.0, 1.0, x, 2.0)),
+    ("factor_shares", "y", 0.0, False, lambda x: caw.factor_shares(1.0, 1.0, 1.0, 1.0, x)),
+    ("ces_output", "l_h", 0.0, True, lambda x: caw.ces_output(_CES, x, 1.0)),
+    ("ces_output", "l_a", 0.0, True, lambda x: caw.ces_output(_CES, 1.0, x)),
+    ("unit_cost", "w_h", 0.0, False, lambda x: caw.unit_cost(_CES, x, 1.0)),
+    ("unit_cost", "w_a", 0.0, False, lambda x: caw.unit_cost(_CES, 1.0, x)),
+    ("conditional_demands", "w_h", 0.0, False, lambda x: caw.conditional_demands(_CES, x, 1.0)),
+    ("conditional_demands", "w_a", 0.0, False, lambda x: caw.conditional_demands(_CES, 1.0, x)),
+    ("relative_wage", "l_h", 0.0, False, lambda x: caw.relative_wage(_CES, x, 1.0)),
+    ("relative_wage", "l_a", 0.0, False, lambda x: caw.relative_wage(_CES, 1.0, x)),
+    ("leontief_requirements", "l_eff_target", 0.0, False, lambda x: caw.leontief_requirements(_CES, x)),
+    ("FactorPrices.from_technology", "w_h", 0.0, True, lambda x: FactorPrices.from_technology(_TECH, x, 1.0)),
+    ("FactorPrices.from_technology", "r_c", 0.0, True, lambda x: FactorPrices.from_technology(_TECH, 1.0, x)),
+    ("TaskProfile", "w_comp", 0.0, True, lambda x: TaskProfile(0.5, x, 1.0)),
+    ("TaskProfile", "w_counterfactual", 0.0, True, lambda x: TaskProfile(0.5, 1.0, x)),
+    ("solve_statics_point", "l_eff_demand", 0.0, False,
+     lambda x: caw.solve_statics_point(caw.StaticsSetup(_CES, x, _SUPPLY, 1.0))),
+    ("solve_statics_point", "w_a_eff", 0.0, False,
+     lambda x: caw.solve_statics_point(caw.StaticsSetup(_CES, 1.0, _SUPPLY, x))),
+    ("solve_capped_labor_market", "rental rate", 0.0, True,
+     lambda x: caw.solve_capped_labor_market(make_scenario(), x)),
+    ("caw_trajectory", "trajectory time", 0.0, True, lambda x: caw.caw_trajectory(_TECH, 1.0, [0.0, x])),
+    ("wage_bill_response", "ceiling_before", 0.0, False,
+     lambda x: caw.wage_bill_response(_DEMAND, _SUPPLY, x, 1.0, check_binding=False)),
+    ("wage_bill_response", "ceiling_after", 0.0, False,
+     lambda x: caw.wage_bill_response(_DEMAND, _SUPPLY, 1.0, x, check_binding=False)),
+]
+
+
+def _broken_numbers():
+    """(call, value, expected message prefix) for each argument of _NUMBERS and
+    each of 0, -1, NaN, +inf and -inf its rule forbids."""
+    for entry, name, bound, inclusive, call in _NUMBERS:
+        for value in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            if not (math.isfinite(value) and (value > bound or inclusive and value == bound)):
+                prefix = f"{name} must be finite and {'>=' if inclusive else '>'} {bound:g}, got "
+                yield pytest.param(call, value, prefix, id=f"{entry}-{name}={value}")
+
+
+@pytest.mark.parametrize("call, value, prefix", _broken_numbers())
+def test_every_library_entry_rejects_a_number_outside_its_rule(call, value, prefix):
+    with pytest.raises(InvalidInput) as info:
+        call(value)
+    assert str(info.value) == prefix + repr(value)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -309,6 +370,13 @@ def test_fields_at_their_inclusive_bounds_pass_every_entry():
          "l_eff_demand must be finite and > 0, got 0.0"),
         (lambda: caw.solve_statics_point(caw.StaticsSetup(_CES, 1.0, _SUPPLY, math.inf)),
          "w_a_eff must be finite and > 0, got inf"),
+        # A message per bare number, as _NUMBERS checks for every one. These said "factor prices must be
+        # finite and > 0, got (-1.0, 1.0)", "output value must be > 0, got 0.0", "curve evaluated at
+        # non-positive price nan", and nothing: classify_regime returned MIXED.
+        (lambda: caw.unit_cost(_CES, -1.0, 1.0), "w_h must be finite and > 0, got -1.0"),
+        (lambda: caw.factor_shares(1.0, 1.0, 1.0, 1.0, 0.0), "y must be finite and > 0, got 0.0"),
+        (lambda: _SUPPLY.quantity(math.nan), "price must be finite and > 0, got nan"),
+        (lambda: caw.classify_regime(math.nan, 1.0, 1e-9), "w_h_candidate must be finite and >= 0, got nan"),
     ],
 )
 def test_library_rule_messages(call, message):
