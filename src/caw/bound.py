@@ -62,7 +62,13 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     require_part(policy)
     if r_c == 0.0:
         return r_c
-    return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu * r_c
+    return _ceiling_factor(tech, policy) * r_c
+
+
+def _ceiling_factor(tech: Technology, policy: PolicyLevers) -> float:
+    """The ceiling per unit rental rate, lam * k * (1 + tau_c) * mu, parts
+    unchecked: :func:`caw_ceiling` is this times ``r_c``, the same product."""
+    return tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu
 
 
 def linear_costmin(

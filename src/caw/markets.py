@@ -32,8 +32,12 @@ unused, so where the exogenous compute price r0 lies above r_b it is the
 fixed point and no search runs; otherwise the search starts from the known
 bracket [r0, r_b] (or a floor below r_b without exogenous demand), and
 the compute price r0, like a capped row's, is computed once per sweep unless
-a compute curve is swept. Solvers allocate no global state; independent
-scenarios may be solved concurrently.
+a compute curve is swept. The search's excess reads each curve's scale and
+signed exponent once per row and computes each quantity as
+scale * price**exponent; where a power is not a normal float it falls back
+to :meth:`caw.model.IsoElasticCurve.quantity`, so it agrees with the curves
+bit for bit. Solvers allocate no global state; independent scenarios may be
+solved concurrently.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import CEILING, caw_ceiling, require_rate
+from .bound import CEILING, _ceiling_factor, caw_ceiling, require_rate
 from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     FIELDS,
@@ -208,15 +212,15 @@ def _place_at_ceiling(
 ) -> EquilibriumResult:
     """One capped labor-market solve at a known rental rate.
 
-    ``factor`` is ``caw_ceiling(tech, 1.0, policy)``: a positive rate's
-    ceiling is ``factor * r_c_star``, the same product. ``w_clear`` is the
-    uncapped clearing wage, or the error clearing raised, read only when the
-    ceiling is positive; ``slack`` holds both curves' quantities at it, if
-    known. A zero ceiling, even one that underflows at a positive rate,
-    binds; the result reports ``r_c_star`` as given. A positive ceiling
-    beyond the float range raises SolverError (:func:`caw.model.in_float_range`),
-    after a clearing error, and so does a labor quantity the result would
-    report beyond it, in either branch.
+    ``factor`` is :func:`caw.bound._ceiling_factor`: a positive rate's
+    ceiling is ``factor * r_c_star``, :func:`caw.bound.caw_ceiling`'s
+    product. ``w_clear`` is the uncapped clearing wage, or the error clearing
+    raised, read only when the ceiling is positive; ``slack`` holds both
+    curves' quantities at it, if known. A zero ceiling, even one that
+    underflows at a positive rate, binds; the result reports ``r_c_star`` as
+    given. A positive ceiling beyond the float range raises SolverError
+    (:func:`caw.model.in_float_range`), after a clearing error, and so does a
+    labor quantity the result would report beyond it, in either branch.
     """
     ceiling = factor * r_c_star if r_c_star > 0.0 else caw_ceiling(tech, r_c_star, policy)
     if ceiling != 0.0:
@@ -276,6 +280,14 @@ def _coupled_rate(
     read without building a result; a clearing error raises first. An excess
     inf - inf raises the float-range error: compute used and supplied are
     monotone in the rate, so the quantity that clears is that large too.
+
+    The excess reads each curve's scale and signed exponent once and takes
+    each quantity as ``scale * price**exponent``, the product
+    :meth:`caw.model.IsoElasticCurve.quantity` returns wherever the power is
+    a normal float. At a rate where a power is not one, or ``**`` raises
+    (an overflow, or a zero ceiling under a negative exponent), it composes
+    :func:`_agent_labor` and the curves' ``quantity`` instead. So every
+    value, and every error, is that of the curves, bit for bit.
     """
     if isinstance(w_clear, CawError):
         raise w_clear.with_traceback(None)
@@ -299,22 +311,59 @@ def _coupled_rate(
         else:
             bracket = (min(DEFAULT_BRACKET[0], hi - 1.0), hi)
 
-    k, supplied = tech.k, compute_supply.quantity
+    k, lam = tech.k, tech.lam
 
-    def excess(r_c: float) -> float:
+    def composed(r_c: float) -> float:
+        """The excess with each quantity read from its curve."""
         ceiling = factor * r_c
         if ceiling != 0.0 and w_clear <= ceiling:
             derived = 0.0
         else:
             derived = k * _agent_labor(tech, ceiling, supply, demand)[2]
         exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
-        value = derived + exogenous - supplied(r_c)
+        return derived + exogenous - compute_supply.quantity(r_c)
+
+    # An inelastic curve's power is 1.0, and scale * 1.0 == scale;
+    # no exogenous demand is 0.0 * 1.0.
+    (a_sup, e_sup), (a_exo, e_exo), (a_ls, e_ls), (a_ld, e_ld) = (
+        _power(compute_supply), _power(compute_demand), _power(supply), _power(demand)
+    )
+
+    def excess(r_c: float) -> float:
+        ceiling = factor * r_c
+        try:
+            p_sup, p_exo = r_c**e_sup, r_c**e_exo
+            if ceiling != 0.0 and w_clear <= ceiling:
+                p_ls = p_ld = 1.0
+                derived = 0.0
+            else:
+                p_ls, p_ld = ceiling**e_ls, ceiling**e_ld
+                gap = a_ld * p_ld - a_ls * p_ls
+                derived = k * (lam * (gap if gap > 0.0 else 0.0))  # _agent_labor's max(0.0, gap)
+        except (OverflowError, ZeroDivisionError):
+            p_sup = math.nan  # fails the first test below, so the curves decide
+        if (
+            _MIN_NORMAL <= p_sup < math.inf and _MIN_NORMAL <= p_exo < math.inf
+            and _MIN_NORMAL <= p_ls < math.inf and _MIN_NORMAL <= p_ld < math.inf
+            and 0.0 < r_c < math.inf
+        ):
+            value = derived + a_exo * p_exo - a_sup * p_sup
+        else:  # a power beyond the normal range: the curves take it in logs, or raise
+            value = composed(r_c)
         if value != value:  # NaN: inf - inf
             in_float_range(value, "compute quantity at the fixed point")
         return value
 
     abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
     return find_root(excess, abs_tol=abs_tol, bracket=bracket).root
+
+
+def _power(curve: IsoElasticCurve | None) -> tuple[float, float]:
+    """``(scale, signed exponent)`` of ``curve``'s quantity; none is (0, 0)."""
+    if curve is None:
+        return 0.0, 0.0
+    kind, scale, elasticity = curve
+    return scale, elasticity if kind is CurveKind.SUPPLY else -elasticity
 
 
 def _attempt(fn, *args):
@@ -352,9 +401,10 @@ def solve_batch(
     ``s`` is validated once, on entry (ValidationError). Once per batch, not
     per row: the compute-market price unless a compute curve is swept; the
     labor clearing wage and both labor quantities at it unless a labor curve
-    is swept; the ceiling per unit rate, ``caw_ceiling(technology, 1.0,
-    policy)``, unless a ``technology.*`` or ``policy.*`` field is swept. What
-    such a shared stage returns or raises holds for every row.
+    is swept; the ceiling per unit rate, :func:`caw.bound._ceiling_factor`,
+    unless a ``technology.*`` or ``policy.*`` field is swept. What such a
+    shared stage returns or raises holds for every row. The factor reads its
+    parts unchecked: the scenario, and each swept value, met their rules first.
     """
     if mode not in ("capped", "coupled"):
         raise InvalidInput(f"unknown solve mode {mode!r}; use 'capped' or 'coupled'")
@@ -388,7 +438,7 @@ def solve_batch(
             slack = (s.labor_supply_ts.quantity(w_clear), s.labor_demand_ts.quantity(w_clear))
     # The ceiling per unit rental rate, for every row unless a field it reads is swept.
     ceiling_swept = attr in ("technology", "policy")
-    factor = None if ceiling_swept else caw_ceiling(s.technology, 1.0, s.policy)
+    factor = None if ceiling_swept else _ceiling_factor(s.technology, s.policy)
 
     rows: list[EquilibriumResult | CawError] = []
     for value in values:
@@ -405,7 +455,7 @@ def solve_batch(
         clear = _attempt(_clearing_price, supply, demand) if labor_swept else w_clear
         try:
             if ceiling_swept:
-                factor = caw_ceiling(tech, 1.0, policy)
+                factor = _ceiling_factor(tech, policy)
             r_c = r0
             if coupled:
                 r_c = _coupled_rate(tech, factor, compute_supply, compute_demand, supply, demand, clear, r0)

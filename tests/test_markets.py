@@ -1,14 +1,16 @@
 import contextlib
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from caw import (
     SWEEPABLE_PARAMS,
     CawError,
+    CurveKind,
     DegenerateCeiling,
     InvalidInput,
     NoEquilibrium,
@@ -337,14 +339,18 @@ def test_solve_scenario_modes(baseline_scenario):
 
 @contextlib.contextmanager
 def _find_root_calls():
-    """Record every (excess, report) pair passed through markets.find_root."""
+    """Record every (excess, report) pair passed through markets.find_root;
+    the report is None where the search raised."""
     calls = []
     real = markets.find_root
 
     def spy(excess, **kwargs):
-        report = real(excess, **kwargs)
-        calls.append((excess, report))
-        return report
+        report = None
+        try:
+            report = real(excess, **kwargs)
+            return report
+        finally:
+            calls.append((excess, report))
 
     markets.find_root = spy
     try:
@@ -357,7 +363,7 @@ def test_baseline_coupled_solve_evaluation_budget(baseline_scenario):
     with _find_root_calls() as calls:
         res = solve_coupled(baseline_scenario)
     [(_excess, report)] = calls
-    assert report.evaluations <= 8
+    assert report.evaluations == 7  # the count README states
     assert report.root == res.r_c_star
 
 
@@ -409,6 +415,122 @@ def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(scenario):
     assert sides == {True, False}
 
 
+_WIDE_SCALE = st.floats(min_value=-300 * math.log(10), max_value=300 * math.log(10)).map(math.exp)
+_WIDE_CURVE = st.tuples(
+    _WIDE_SCALE, st.one_of(st.just(0.0), st.integers(1, 3).map(float), st.floats(min_value=0.0, max_value=3.0))
+)
+_RATE = st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max)
+
+
+def _outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or the type and text of the CawError it raised."""
+    try:
+        return repr(fn(*args))
+    except CawError as exc:
+        return type(exc), str(exc)
+
+
+def _rates_beyond_normal_powers(curves):
+    """Rental rates on both sides of where each curve's power leaves the
+    normal range; ``curves`` pairs each curve with its price per unit rate."""
+    rates = []
+    for curve, per_rate in curves:
+        if curve is None or curve.elasticity == 0.0 or not 0.0 < per_rate < math.inf:
+            continue
+        exponent = curve.elasticity if curve.kind is CurveKind.SUPPLY else -curve.elasticity
+        for edge in (sys.float_info.min, sys.float_info.max):
+            for step in (-math.log(2.0), math.log(2.0)):
+                try:
+                    rates.append(math.exp(math.log(edge) / exponent + step - math.log(per_rate)))
+                except OverflowError:
+                    pass
+    return [r for r in rates if 0.0 < r < math.inf]
+
+
+def test_hoisted_excess_reads_curve_powers_bit_for_bit_over_the_float_range(monkeypatch):
+    # The excess computes each curve quantity as scale * price**exponent and
+    # falls back to the curves where a power is not a normal float. At rates
+    # across the search's reach, next to where each power underflows or
+    # overflows, and where the ceiling is 0, it equals the curve-by-curve
+    # composition exactly, errors included; the fallback runs somewhere.
+    fallbacks = []
+    quantity = markets.IsoElasticCurve.quantity
+    curve_calls = []
+
+    def counted(curve, price):
+        curve_calls.append(price)
+        return quantity(curve, price)
+
+    monkeypatch.setattr(markets.IsoElasticCurve, "quantity", counted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tech=st.tuples(_WIDE_SCALE, _WIDE_SCALE),
+        compute=st.tuples(_WIDE_CURVE, st.one_of(st.none(), _WIDE_CURVE)),
+        labor=st.tuples(_WIDE_CURVE, _WIDE_CURVE),
+        tau_c=st.floats(min_value=0.0, max_value=2.0),
+        mu=st.floats(min_value=1.0, max_value=3.0),
+        drawn=st.lists(_RATE, max_size=4),
+    )
+    # Where a curve's power is subnormal but its quantity still shows in the
+    # excess: labor supply, then labor demand, at a binding ceiling, then
+    # exogenous compute demand; and an excess of inf - inf.
+    @example(tech=(1.0, 1.0), compute=((1e-11, 1.0), None), labor=((1e-10, 0.0), (1e298, 3.0)),
+             tau_c=0.0, mu=1.0, drawn=[])
+    @example(tech=(1.0, 1.0), compute=((1e-15, 0.0), None), labor=((1e300, 3.0), (1e-20, 0.0)),
+             tau_c=0.0, mu=1.0, drawn=[1e105])
+    @example(tech=(1e-150, 1e-150), compute=((1e-10, 0.0), (6.4e297, 3.0)), labor=((10.0, 1.0), (1.0, 1.0)),
+             tau_c=0.0, mu=1.0, drawn=[])
+    @example(tech=(1e50, 1e50), compute=((1e10, 30.0), None), labor=((1e250, 0.0), (1.0, 1.0)),
+             tau_c=0.0, mu=1.0, drawn=[1e10])
+    def check(tech, compute, labor, tau_c, mu, drawn):
+        (lam, k), (cs, cd), (ld, ls) = tech, compute, labor
+        s = make_scenario(lam=lam, k=k, compute_supply=cs, compute_demand=cd, labor_demand=ld,
+                          labor_supply=ls, tau_c=tau_c, mu=mu)
+        with _find_root_calls() as calls:
+            try:
+                solve_coupled(s)
+            except CawError:
+                pass
+        if not calls:  # no search: a clearing error, or the exogenous price is the fixed point
+            return
+        [(excess, _report)] = calls
+        technology, supply, demand = s.technology, s.labor_supply_ts, s.labor_demand_ts
+        compute_demand = s.compute_demand_exogenous
+        w_clear = clear_market(supply, demand).price
+        factor = caw_ceiling(technology, 1.0, s.policy)
+
+        def composed(r_c):
+            ceiling = factor * r_c  # caw_ceiling's product wherever r_c is a rate
+            if ceiling != 0.0 and w_clear <= ceiling:
+                derived = 0.0
+            else:
+                derived = technology.k * markets._agent_labor(technology, ceiling, supply, demand)[2]
+            exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
+            value = derived + exogenous - s.compute_supply.quantity(r_c)
+            if value != value:
+                raise SolverError("compute quantity at the fixed point lies outside the floating-point range")
+            return value
+
+        rates = [math.exp(REACHABLE[0] + i * (REACHABLE[1] - REACHABLE[0]) / 40) for i in range(41)]
+        rates += [math.ulp(0.0), sys.float_info.min, sys.float_info.max, *drawn]
+        rates += [0.0, math.inf, math.nan]  # no price: the curves raise
+        rates += _rates_beyond_normal_powers(
+            [(s.compute_supply, 1.0), (compute_demand, 1.0), (supply, factor), (demand, factor)]
+        )
+        if 0.0 < factor < math.inf and 0.0 < w_clear / factor < math.inf:
+            rates.append(w_clear / factor)  # r_b, where the ceiling meets the clearing wage
+        for r_c in rates:
+            del curve_calls[:]
+            got = _outcome(excess, r_c)
+            if curve_calls:
+                fallbacks.append(r_c)
+            assert got == _outcome(composed, r_c)
+
+    check()
+    assert fallbacks
+
+
 # --- the batch kernel ------------------------------------------------------------------
 
 
@@ -452,19 +574,20 @@ def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, 
 )
 def test_capped_batch_reads_the_ceiling_once_unless_its_fields_are_swept(monkeypatch, baseline_scenario,
                                                                          param, per_row):
-    # The ceiling per unit rental rate is one caw_ceiling call per batch; a
+    # The ceiling per unit rental rate is one factor call per batch; a
     # swept technology or policy field moves it, so each row makes its own.
     calls = []
+    factor = markets._ceiling_factor
 
-    def counted(tech, r_c, policy=None):
-        calls.append(r_c)
-        return caw_ceiling(tech, r_c, policy)
+    def counted(tech, policy):
+        calls.append((tech, policy))
+        return factor(tech, policy)
 
-    monkeypatch.setattr(markets, "caw_ceiling", counted)
+    monkeypatch.setattr(markets, "_ceiling_factor", counted)
     values = [1.5, 2.0, 2.5]
     rows = markets.solve_batch(baseline_scenario, param, values)
     assert not any(isinstance(row, CawError) for row in rows)
-    assert calls == [1.0] * (len(values) if per_row else 1)
+    assert len(calls) == (len(values) if per_row else 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -565,11 +565,11 @@ def test_sweep_over_extreme_compute_elasticity_has_finite_rows():
 
 
 def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
-    # The capped batch kernel places every row against caw_ceiling.
-    def broken(tech, r_c, policy=None):
+    # The capped batch kernel places every row against the ceiling per unit rate.
+    def broken(tech, policy):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(markets, "caw_ceiling", broken)
+    monkeypatch.setattr(markets, "_ceiling_factor", broken)
     with pytest.raises(ZeroDivisionError):
         sweep(baseline_scenario, "technology.k", [1.0])
 
