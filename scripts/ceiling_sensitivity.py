@@ -19,8 +19,8 @@ from caw import (
     Technology,
     demand_curve,
     grid,
+    solve_batch,
     supply_curve,
-    sweep,
     table1,
 )
 
@@ -58,20 +58,20 @@ def main() -> None:
     s = binding_scenario()
     values = grid(0.25, 4.0, args.points, log=True)
 
-    rows = []
-    for row in sweep(s, "compute_supply.scale", values):
-        r = row.result
-        rows.append((row.value, r.r_c_star, r.ceiling, r.w_h_star, r.l_h_star, r.l_a_star))
+    rows = [
+        (value, r.r_c_star, r.ceiling, r.w_h_star, r.l_h_star, r.l_a_star)
+        for value, r in zip(values, solve_batch(s, "compute_supply.scale", values))
+    ]
     print_rows(
         "Compute supply scale sweep (binding: wage tracks the rental rate)",
         ("supply_scale", "r_c_star", "ceiling", "w_h_star", "l_h_star", "l_a_star"),
         rows,
     )
 
-    rows = []
-    for row in sweep(s, "labor_supply_ts.scale", values):
-        r = row.result
-        rows.append((row.value, r.w_h_star, r.l_h_star, r.l_a_star))
+    rows = [
+        (value, r.w_h_star, r.l_h_star, r.l_a_star)
+        for value, r in zip(values, solve_batch(s, "labor_supply_ts.scale", values))
+    ]
     print_rows(
         "Labor supply scale sweep (binding: wage immobile, employment shifts)",
         ("labor_supply_scale", "w_h_star", "l_h_star", "l_a_star"),

@@ -33,6 +33,7 @@ from .errors import (
 from .markets import (
     ClearingPoint,
     clear_market,
+    solve_batch,
     solve_capped_labor_market,
     solve_compute_market,
     solve_coupled,
@@ -61,14 +62,12 @@ from .statics import (
     SemiElasticity,
     StaticsPoint,
     StaticsSetup,
-    SweepRow,
     WageBillResponse,
     WageBillState,
     caw_trajectory,
     grid,
     semi_elasticity,
     solve_statics_point,
-    sweep,
     wage_bill_response,
 )
 

@@ -29,8 +29,8 @@ from pathlib import Path
 from .bound import CEILING, caw_ceiling, require_rate
 from .calibration import factor_shares, table1
 from .ces import DemandPair, conditional_demands, unit_cost
-from .errors import InvalidInput, ParseError, SolverError, ValidationError
-from .markets import solve_compute_market, solve_scenario
+from .errors import CawError, InvalidInput, ParseError, SolverError, ValidationError
+from .markets import solve_batch, solve_compute_market, solve_scenario
 from .model import SWEEPABLE_PARAMS, CesParams, EquilibriumResult, FactorShares, PolicyLevers, Scenario
 from .model import Technology, field_violation, in_float_range, require
 from .scenario_io import (
@@ -41,7 +41,7 @@ from .scenario_io import (
     scenario_sha256,
     standard_metadata,
 )
-from .statics import SemiElasticity, StaticsPoint, StaticsSetup, caw_trajectory, grid, semi_elasticity, sweep
+from .statics import SemiElasticity, StaticsPoint, StaticsSetup, caw_trajectory, grid, semi_elasticity
 
 def finite_float(text: str) -> float:
     """Argparse type for every float flag: a finite number, else exit 2."""
@@ -214,8 +214,8 @@ def _cmd_sweep(args) -> OutputTable:
     values = grid(args.start, args.stop, args.steps, log=args.log)
     blank = (None,) * len(EquilibriumResult._fields)
     rows = [
-        (value, res.regime._value_, *res[1:], None) if res is not None else (value, *blank, error)
-        for value, res, error in sweep(s, args.param, values, solver=args.mode)
+        (value, *blank, str(row)) if isinstance(row, CawError) else (value, row.regime._value_, *row[1:], None)
+        for value, row in zip(values, solve_batch(s, args.param, values, mode=args.mode))
     ]
     meta = standard_metadata(scenario_sha256(s), command="sweep", mode=args.mode, param=args.param)
     return OutputTable(

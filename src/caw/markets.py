@@ -7,21 +7,22 @@ rate as given and applies the wage ceiling; the coupled solver closes the
 loop by finding the rental rate at which compute supplied equals agent
 compute use plus any exogenous compute demand.
 
-Every solve runs on one kernel, :func:`solve_batch`: a single scenario in
-either mode is a batch of one, and a one-parameter sweep computes the stages
-its parameter does not touch once for the whole grid. A capped row takes
-the compute-market price, a coupled row finds its fixed-point rate, and
-both place the labor market against the ceiling with the same
-arithmetic. A sweep may vary only the fields a solve reads,
-:data:`caw.model.SWEEPABLE_PARAMS`. A clearing price whose scale ratio
-alone leaves the float range is taken in logs. A row whose clearing price,
-ceiling, labor quantities or fixed-point compute quantity leave the float
-range is a SolverError row, by the one rule :func:`caw.model.in_float_range`.
+Every solve runs on one kernel, :func:`solve_batch`, which is also the
+public sweep: a single scenario in either mode is a batch of one, and a
+one-parameter sweep computes the stages its parameter does not touch once
+for the whole grid. A capped row takes the compute-market price, a coupled
+row finds its fixed-point rate, and both place the labor market against
+the ceiling with the same arithmetic. A sweep may vary only the fields a
+solve reads, :data:`caw.model.SWEEPABLE_PARAMS`. A clearing price whose
+scale ratio alone leaves the float range is taken in logs. A row whose
+clearing price, ceiling, labor quantities or fixed-point compute quantity
+leave the float range is a SolverError row, by the one rule
+:func:`caw.model.in_float_range`.
 
 Curves meet the scenario rules: a solve validates its scenario once, which
 holds every curve to them, :func:`clear_market` checks its two curves with
 :func:`caw.model.require_curve`, and a given rental rate meets
-:func:`caw.bound.require_rate`.
+:func:`caw.bound.require_rate` once, on entry to :func:`solve_batch`.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
 log price, by default over the initial bracket [1e-9, 1e9] expanded
@@ -47,7 +48,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from . import constants
-from .bound import CEILING, _ceiling_factor, caw_ceiling, require_rate
+from .bound import CEILING, _ceiling_factor, require_rate
 from .errors import CawError, DegenerateCeiling, InvalidInput, NoEquilibrium, ValidationError
 from .model import (
     FIELDS,
@@ -57,7 +58,6 @@ from .model import (
     CurveKind,
     EquilibriumResult,
     IsoElasticCurve,
-    PolicyLevers,
     Regime,
     Scenario,
     Technology,
@@ -202,7 +202,6 @@ _LABOR = "labor quantity at the equilibrium wage"  # in its float-range error; i
 
 def _place_at_ceiling(
     tech: Technology,
-    policy: PolicyLevers,
     factor: float,
     r_c_star: float,
     supply: IsoElasticCurve,
@@ -214,15 +213,17 @@ def _place_at_ceiling(
 
     ``factor`` is :func:`caw.bound._ceiling_factor`: a positive rate's
     ceiling is ``factor * r_c_star``, :func:`caw.bound.caw_ceiling`'s
-    product. ``w_clear`` is the uncapped clearing wage, or the error clearing
-    raised, read only when the ceiling is positive; ``slack`` holds both
-    curves' quantities at it, if known. A zero ceiling, even one that
+    product; any other rate met :func:`caw.bound.require_rate`, so it is a
+    zero, and its own ceiling, sign included, as there. ``w_clear`` is the
+    uncapped clearing wage, or the error clearing raised, read only when the
+    ceiling is positive; ``slack`` holds both curves' quantities at it, if
+    known. A zero ceiling, even one that
     underflows at a positive rate, binds; the result reports ``r_c_star`` as
     given. A positive ceiling beyond the float range raises SolverError
     (:func:`caw.model.in_float_range`), after a clearing error, and so does a
     labor quantity the result would report beyond it, in either branch.
     """
-    ceiling = factor * r_c_star if r_c_star > 0.0 else caw_ceiling(tech, r_c_star, policy)
+    ceiling = factor * r_c_star if r_c_star > 0.0 else r_c_star
     if ceiling != 0.0:
         if isinstance(w_clear, CawError):
             raise w_clear.with_traceback(None)
@@ -398,19 +399,25 @@ def solve_batch(
     (:func:`caw.model.field_violation`) is a ValidationError row with the
     rule's message. Other exceptions propagate.
 
-    ``s`` is validated once, on entry (ValidationError). Once per batch, not
-    per row: the compute-market price unless a compute curve is swept; the
-    labor clearing wage and both labor quantities at it unless a labor curve
-    is swept; the ceiling per unit rate, :func:`caw.bound._ceiling_factor`,
-    unless a ``technology.*`` or ``policy.*`` field is swept. What such a
+    On entry, once: ``s`` is validated (ValidationError), ``r_c_star`` meets
+    :func:`caw.bound.require_rate`, and a ``param`` needs at least one value
+    (both InvalidInput). Once per batch, not per row: the compute-market
+    price unless a compute curve is swept; the labor clearing wage and both
+    labor quantities at it unless a labor curve is swept; the ceiling per
+    unit rate, :func:`caw.bound._ceiling_factor`, unless a ``technology.*``
+    or ``policy.*`` field is swept. What such a
     shared stage returns or raises holds for every row. The factor reads its
     parts unchecked: the scenario, and each swept value, met their rules first.
     """
     if mode not in ("capped", "coupled"):
         raise InvalidInput(f"unknown solve mode {mode!r}; use 'capped' or 'coupled'")
     coupled = mode == "coupled"
-    if coupled and r_c_star is not None:
-        raise InvalidInput("a coupled solve finds its own rental rate; r_c_star is for capped solves")
+    if r_c_star is not None:
+        if coupled:
+            raise InvalidInput("a coupled solve finds its own rental rate; r_c_star is for capped solves")
+        require_rate(r_c_star)
+    if param is not None and len(values) == 0:
+        raise InvalidInput("sweep grid must be nonempty")
     violations = validate_scenario(s)
     if violations:
         raise ValidationError(violations)
@@ -459,7 +466,7 @@ def solve_batch(
             r_c = r0
             if coupled:
                 r_c = _coupled_rate(tech, factor, compute_supply, compute_demand, supply, demand, clear, r0)
-            rows.append(_place_at_ceiling(tech, policy, factor, r_c, supply, demand, clear, slack))
+            rows.append(_place_at_ceiling(tech, factor, r_c, supply, demand, clear, slack))
         except CawError as exc:  # per-row failures are data, not aborts
             rows.append(exc)
     return rows
@@ -481,7 +488,6 @@ def solve_capped_labor_market(s: Scenario, r_c_star: float) -> EquilibriumResult
     lam * (demand - supply). Both curve readings at the equilibrium wage are
     reported so the supply/demand gap is visible, not hidden.
     """
-    require_rate(r_c_star)
     return _one(solve_batch(s, r_c_star=r_c_star))
 
 

@@ -1,6 +1,6 @@
 """Comparative statics: wage pass-through from the effective agent wage,
-ceiling time trajectories, wage-vs-wage-bill analysis, and generic scenario
-sweeps over the fields a solve reads (:data:`caw.model.SWEEPABLE_PARAMS`).
+ceiling time trajectories, wage-vs-wage-bill analysis, and the grids sweeps
+run over (the sweep itself is :func:`caw.markets.solve_batch`).
 
 Inputs are held to the scenario rules, else InvalidInput: each curve
 argument to :func:`caw.model.require_curve`, a statics setup's CES
@@ -54,10 +54,10 @@ from typing import NamedTuple, Sequence
 from . import constants
 from .bound import caw_ceiling
 from .ces import _branch, _cd_exponents, _log_power_mean
-from .errors import CawError, CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import clear_market, solve_batch
-from .model import CesParams, CurveKind, EquilibriumResult, IsoElasticCurve, _exp, in_float_range
-from .model import PolicyLevers, Scenario, Technology, require, require_curve, require_part
+from .errors import CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
+from .markets import clear_market
+from .model import CesParams, CurveKind, IsoElasticCurve, _exp, in_float_range
+from .model import PolicyLevers, Technology, require, require_curve, require_part
 from .roots import REACHABLE, find_root
 
 
@@ -99,14 +99,6 @@ class WageBillState(NamedTuple):
 class WageBillResponse(NamedTuple):
     before: WageBillState
     after: WageBillState
-
-
-class SweepRow(NamedTuple):
-    """One grid point of a parameter sweep; ``error`` set when solving failed."""
-
-    value: float
-    result: EquilibriumResult | None
-    error: str | None = None
 
 
 def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
@@ -333,22 +325,3 @@ def grid(start: float, stop: float, steps: int, log: bool = False) -> list[float
         values = [i * step + start for i in range(steps)]
     values[-1] = stop
     return values
-
-
-def sweep(
-    s: Scenario, param_path: str, grid: Sequence[float], solver: str = "capped"
-) -> list[SweepRow]:
-    """Solve the scenario once per grid value of one parameter, in either
-    mode, on :func:`caw.markets.solve_batch`.
-
-    Rows keep grid order; a failing point records its error and the sweep
-    continues. A value that breaks the scenario rule for its field (see
-    :func:`caw.model.field_violation`) is not solved: its row carries the
-    rule's message.
-    """
-    if len(grid) == 0:
-        raise InvalidInput("sweep grid must be nonempty")
-    return [
-        SweepRow(value, None, str(result)) if isinstance(result, CawError) else SweepRow(value, result, None)
-        for value, result in zip(grid, solve_batch(s, param_path, grid, mode=solver))
-    ]

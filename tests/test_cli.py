@@ -16,7 +16,8 @@ from caw.cli import run_command
 from caw.constants import SIGMA_LEONTIEF_THRESHOLD
 from caw.model import SECTIONS, field_violation
 from conftest import make_scenario
-from caw import SWEEPABLE_PARAMS, CesParams, emit_scenario
+from caw import SWEEPABLE_PARAMS, CawError, CesParams, EquilibriumResult, emit_scenario, grid, parse_scenario
+from caw import solve_batch
 
 
 BASELINE = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
@@ -657,6 +658,40 @@ def test_sweep_ceiling_beyond_float_range_is_an_error_row(mode, fmt):
     assert all(row["error"] in (None, "") and math.isfinite(float(row["ceiling"])) for row in solved)
     assert last["error"] == _CEILING_OVERFLOW
     assert all(last[h] in (None, "") for h in headers if h not in ("value", "error"))
+
+
+@pytest.mark.parametrize(
+    "scenario, param, start, stop, steps, log, mode",
+    [
+        # Values breaking the lambda rule, then a solved row.
+        (make_scenario(), "technology.lambda", -1.0, 1.0, 3, False, "capped"),
+        # A ceiling beyond the float range at the last value.
+        (make_scenario(), "technology.lambda", 1.0, 1e308, 3, True, "capped"),
+        # A scale breaking its rule; inelastic compute supply below an
+        # inelastic exogenous demand has no coupled equilibrium, above it one.
+        (make_scenario(compute_supply=(1.0, 0.0), compute_demand=(3.0, 0.0)), "compute_supply.scale",
+         -1.0, 5.0, 4, False, "coupled"),
+    ],
+    ids=["capped-rule", "capped-range", "coupled"],
+)
+def test_sweep_cells_are_the_solve_batch_rows(tmp_path, scenario, param, start, stop, steps, log, mode):
+    # The command formats solve_batch's rows: an error row's cell is str() of
+    # its CawError, and every other cell is its row's field.
+    path = write_scenario(tmp_path, scenario)
+    code, out, err = run(["sweep", "--scenario", path, "--param", param, "--from", repr(start), "--to", repr(stop),
+                          "--steps", str(steps), "--mode", mode, "--format", "json", *["--log"] * log])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["headers"] == ["value", *EquilibriumResult._fields, "error"]
+    values = grid(start, stop, steps, log=log)
+    rows = solve_batch(parse_scenario(Path(path).read_text(encoding="utf-8")), param, values, mode=mode)
+    assert 0 < sum(isinstance(row, CawError) for row in rows) < len(rows)
+    for (value_cell, *cells, error_cell), value, row in zip(doc["rows"], values, rows, strict=True):
+        assert value_cell == value
+        if isinstance(row, CawError):
+            assert error_cell == str(row) and cells == [None] * len(EquilibriumResult._fields)
+        else:
+            assert error_cell is None and cells == [row.regime.value, *row[1:]]
 
 
 @pytest.mark.parametrize("k, rc", [(1e200, "1e200"), (1e-200, "1e-200")])

@@ -12,6 +12,7 @@ from caw import (
     CawError,
     CurveKind,
     DegenerateCeiling,
+    EquilibriumResult,
     InvalidInput,
     NoEquilibrium,
     Regime,
@@ -22,12 +23,13 @@ from caw import (
     clear_market,
     demand_curve,
     grid,
+    solve_batch,
     solve_capped_labor_market,
     solve_compute_market,
     solve_coupled,
     solve_scenario,
     supply_curve,
-    sweep,
+    validate_scenario,
 )
 from caw import markets
 from caw.constants import REGIME_BAND_ABS
@@ -331,7 +333,7 @@ def test_solve_scenario_modes(baseline_scenario):
     with pytest.raises(InvalidInput, match="unknown solve mode 'newton'"):
         solve_scenario(baseline_scenario, "newton")
     with pytest.raises(InvalidInput, match="unknown solve mode 'newton'"):
-        sweep(baseline_scenario, "technology.k", [1.0], solver="newton")
+        solve_batch(baseline_scenario, "technology.k", [1.0], mode="newton")
 
 
 # --- coupled solve work and the hoisted excess --------------------------------------
@@ -558,7 +560,7 @@ def test_capped_batch_equals_one_solve_per_point(data, lam, k, compute, curves, 
     params = [p for p in SWEEPABLE_PARAMS if compute is not None or not p.startswith("compute_demand")]
     param = data.draw(st.sampled_from(params))
     values = data.draw(st.lists(_positive, min_size=1, max_size=6))
-    for value, row in zip(values, markets.solve_batch(s, param, values, mode=mode), strict=True):
+    for value, row in zip(values, solve_batch(s, param, values, mode=mode), strict=True):
         try:
             direct = solve_scenario(with_field(s, param, value), mode)
         except CawError as exc:
@@ -585,7 +587,7 @@ def test_capped_batch_reads_the_ceiling_once_unless_its_fields_are_swept(monkeyp
 
     monkeypatch.setattr(markets, "_ceiling_factor", counted)
     values = [1.5, 2.0, 2.5]
-    rows = markets.solve_batch(baseline_scenario, param, values)
+    rows = solve_batch(baseline_scenario, param, values)
     assert not any(isinstance(row, CawError) for row in rows)
     assert len(calls) == (len(values) if per_row else 1)
 
@@ -598,7 +600,7 @@ def test_capped_batch_reads_the_ceiling_once_unless_its_fields_are_swept(monkeyp
     curves=st.tuples(_positive, _elasticity, _positive, _elasticity, _positive, _elasticity),
     tau_c=st.floats(min_value=0.0, max_value=2.0),
     mu=st.floats(min_value=1.0, max_value=3.0),
-    r_c_star=st.one_of(st.none(), st.just(0.0), _positive),
+    r_c_star=st.one_of(st.none(), st.sampled_from([0.0, -0.0]), _positive),
 )
 def test_batch_rows_agree_with_the_bound_functions(data, lam, k, curves, tau_c, mu, r_c_star):
     # The kernel multiplies a per-batch factor by each rate and classifies
@@ -609,7 +611,7 @@ def test_batch_rows_agree_with_the_bound_functions(data, lam, k, curves, tau_c, 
                       labor_supply=(ls, ls_e), tau_c=tau_c, mu=mu)
     param = data.draw(st.sampled_from(SWEEPABLE_PARAMS))
     values = data.draw(st.lists(_positive, min_size=1, max_size=6))
-    for value, row in zip(values, markets.solve_batch(s, param, values, r_c_star=r_c_star)):
+    for value, row in zip(values, solve_batch(s, param, values, r_c_star=r_c_star)):
         if isinstance(row, CawError):
             continue
         point = with_field(s, param, value)
@@ -620,7 +622,7 @@ def test_batch_rows_agree_with_the_bound_functions(data, lam, k, curves, tau_c, 
 
 def test_capped_batch_shares_a_stage_error_with_every_row():
     s = make_scenario(compute_demand=None)
-    rows = markets.solve_batch(s, "technology.lambda", [1.0, 2.0])
+    rows = solve_batch(s, "technology.lambda", [1.0, 2.0])
     assert [str(r) for r in rows] == ["scenario has no exogenous compute demand to clear against"] * 2
     with pytest.raises(InvalidInput, match="no exogenous compute demand"):
         solve_scenario(s, "capped")
@@ -632,34 +634,71 @@ def test_batch_row_with_a_ceiling_beyond_float_range_is_a_solver_error(mode):
     # inf ceiling. At a zero rate the ceiling stays exactly 0, with agent
     # labor 1e200 * 1e-300 and compute 1e200 * 1e-100 in range.
     s = make_scenario(k=1e200)
-    rows = markets.solve_batch(s, "technology.lambda", [1.0, 1e100, 1e200], mode=mode)
+    rows = solve_batch(s, "technology.lambda", [1.0, 1e100, 1e200], mode=mode)
     assert all(math.isfinite(row.ceiling) for row in rows[:2])
     assert isinstance(rows[2], SolverError)
     assert str(rows[2]) == "wage ceiling lambda*k*(1+tau_c)*mu*r_c lies outside the floating-point range"
-    (row,) = markets.solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(1e-300, 0.0)), r_c_star=0.0)
+    (row,) = solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(1e-300, 0.0)), r_c_star=0.0)
     assert row.ceiling == 0.0 and row.k_c_star == 1e200 * (1e200 * 1e-300)
     # With labor demand 10, compute k * l_a = 1e200 * 1e201 overflows: a solver error.
-    (row,) = markets.solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(10.0, 0.0)), r_c_star=0.0)
+    (row,) = solve_batch(make_scenario(lam=1e200, k=1e200, labor_demand=(10.0, 0.0)), r_c_star=0.0)
     assert isinstance(row, SolverError) and "labor quantity" in str(row)
 
 
 def test_capped_batch_rejects_unknown_or_absent_fields(baseline_scenario):
     with pytest.raises(InvalidInput, match="unknown sweep parameter"):
-        markets.solve_batch(baseline_scenario, "ces.sigma", [1.0])
+        solve_batch(baseline_scenario, "ces.sigma", [1.0])
     with pytest.raises(InvalidInput, match="no compute_demand to sweep"):
-        markets.solve_batch(make_scenario(compute_demand=None), "compute_demand.scale", [1.0])
+        solve_batch(make_scenario(compute_demand=None), "compute_demand.scale", [1.0])
 
 
 def test_batch_rejects_a_rental_rate_in_coupled_mode(baseline_scenario):
     with pytest.raises(InvalidInput, match="r_c_star"):
-        markets.solve_batch(baseline_scenario, mode="coupled", r_c_star=2.0)
+        solve_batch(baseline_scenario, mode="coupled", r_c_star=2.0)
+
+
+@pytest.mark.parametrize("r_c_star", [-1.0, -math.inf, math.inf, math.nan])
+def test_batch_rejects_a_rental_rate_outside_the_rule_on_entry(baseline_scenario, r_c_star):
+    # One InvalidInput for the batch, as for a broken scenario, not one per row.
+    with pytest.raises(InvalidInput, match="rental rate"):
+        solve_batch(baseline_scenario, "technology.lambda", [1.0, 2.0], r_c_star=r_c_star)
+    with pytest.raises(InvalidInput, match="rental rate"):
+        solve_capped_labor_market(baseline_scenario, r_c_star)
+
+
+def test_batch_checks_a_given_rental_rate_once(monkeypatch, baseline_scenario):
+    calls = []
+    monkeypatch.setattr(markets, "require_rate", calls.append)
+    rows = solve_batch(baseline_scenario, "technology.lambda", [1.0, 2.0, 3.0], r_c_star=2.0)
+    assert calls == [2.0] and not any(isinstance(row, CawError) for row in rows)
+
+
+@pytest.mark.parametrize("r_c_star", [0.0, -0.0])
+def test_zero_rental_rate_is_its_own_ceiling_sign_included(r_c_star):
+    # caw_ceiling returns a zero rate as given; so does a batch row, whose
+    # binding ceiling leaves labor demand 4 to agents.
+    s = make_scenario(labor_demand=(4.0, 0.0), tau_c=0.5, mu=2.0)
+    expected = EquilibriumResult(Regime.MIXED, r_c_star, r_c_star, r_c_star, 0.0, 4.0, 4.0, True, 0.0, 4.0)
+    rows = solve_batch(s, "policy.mu", [1.0, 1e300], r_c_star=r_c_star)
+    for row in (solve_capped_labor_market(s, r_c_star), *rows):
+        assert repr(row) == repr(expected)  # repr keeps the sign of a zero
+    assert repr(caw_ceiling(s.technology, r_c_star, s.policy)) == repr(r_c_star)
+
+
+@pytest.mark.parametrize("mode", ["capped", "coupled"])
+def test_sweep_grid_must_be_nonempty(baseline_scenario, mode):
+    with pytest.raises(InvalidInput, match="sweep grid must be nonempty"):
+        solve_batch(baseline_scenario, "technology.k", [], mode=mode)
+    # With no parameter the batch is the one solve of the scenario itself.
+    (row,) = solve_batch(baseline_scenario, mode=mode)
+    assert repr(row) == repr(solve_scenario(baseline_scenario, mode))
 
 
 def test_coupled_batch_shares_a_labor_clearing_error_with_every_row():
     # Inelastic labor curves with unequal quantities: no wage clears, and the
     # stored error is each coupled row's, as for the one-point solve.
     s = make_scenario(labor_demand=(10.0, 0.0), labor_supply=(1.0, 0.0))
-    rows = markets.solve_batch(s, "technology.lambda", [1.0, 2.0], mode="coupled")
+    rows = solve_batch(s, "technology.lambda", [1.0, 2.0], mode="coupled")
     with pytest.raises(NoEquilibrium) as info:
         solve_coupled(s)
     assert [str(r) for r in rows] == [str(info.value)] * 2
@@ -683,6 +722,91 @@ def test_library_solves_validate_their_scenario(scenario, message):
         solve_capped_labor_market(scenario, 2.0)
 
 
+# --- sweeps ----------------------------------------------------------------------
+
+
+def test_sweep_over_compute_supply_scale_orders_wages():
+    rows = solve_batch(make_scenario(), "compute_supply.scale", [1.0, 2.0, 4.0])
+    wages = [row.w_h_star for row in rows]
+    # More compute supply lowers the rental rate and the binding wage.
+    assert wages[0] > wages[1] > wages[2]
+    for row, scale in zip(rows, (1.0, 2.0, 4.0)):
+        expected_rc = (4.0 / scale) ** 0.5
+        assert rel_err(row.r_c_star, expected_rc) < 1e-12
+        assert rel_err(row.w_h_star, expected_rc) < 1e-12
+
+
+def test_sweep_lambda_reproduces_ceiling_column():
+    rows = solve_batch(make_scenario(), "technology.lambda", [0.5, 1.0, 2.0])
+    assert [row.ceiling for row in rows] == [1.0, 2.0, 4.0]
+
+
+def test_sweep_linearity_of_binding_wage_in_lambda():
+    values = [0.5, 0.75, 1.0, 1.25, 1.5]
+    rows = solve_batch(make_scenario(), "technology.lambda", values)
+    assert all(row.ceiling_binds for row in rows)
+    slope = rows[0].w_h_star / values[0]
+    for value, row in zip(values, rows):
+        assert abs(row.w_h_star - slope * value) < 1e-10
+
+
+def test_sweep_records_row_errors_and_continues():
+    rows = solve_batch(make_scenario(), "technology.lambda", [1.0, -1.0, 2.0])
+    assert [isinstance(row, CawError) for row in rows] == [False, True, False]
+    assert isinstance(rows[1], ValidationError) and str(rows[1]) == "lambda must be > 0"
+
+
+def test_sweep_over_extreme_compute_elasticity_has_finite_rows():
+    rows = solve_batch(make_scenario(), "compute_supply.elasticity", [1.0, 40.0, 400.0], mode="coupled")
+    for row in rows:
+        assert not isinstance(row, CawError)
+        assert all(math.isfinite(v) for v in (row.r_c_star, row.k_c_star))
+
+
+def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
+    # The batch kernel places every row against the ceiling per unit rate.
+    def broken(tech, policy):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(markets, "_ceiling_factor", broken)
+    with pytest.raises(ZeroDivisionError):
+        solve_batch(baseline_scenario, "technology.k", [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    param=st.sampled_from(SWEEPABLE_PARAMS),
+    value=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+)
+def test_sweep_checks_values_with_the_scenario_rules(param, value):
+    # A swept value meets exactly the rule a scenario document meets.
+    s = make_scenario()
+    point = with_field(s, param, value)
+    expected = [v.message for v in validate_scenario(point)]
+    (row,) = solve_batch(s, param, [value])
+    if expected:
+        assert isinstance(row, ValidationError) and [str(row)] == expected
+        return
+    try:
+        direct = solve_scenario(point, "capped")
+    except CawError as exc:
+        assert type(row) is type(exc) and str(row) == str(exc)
+    else:
+        assert repr(row) == repr(direct)
+
+
+def test_sweep_row_for_a_nonfinite_value_names_the_rule(baseline_scenario):
+    rows = solve_batch(baseline_scenario, "technology.lambda", [math.nan, 1.0], mode="coupled")
+    assert isinstance(rows[0], ValidationError) and str(rows[0]) == "lambda must be finite"
+    assert not isinstance(rows[1], CawError)
+
+
+def test_sweep_coupled_solver(baseline_scenario):
+    (row,) = solve_batch(baseline_scenario, "technology.lambda", [1.0], mode="coupled")
+    assert row.regime in (Regime.MIXED, Regime.HUMAN_ONLY)
+    assert row.r_c_star > 2.0
+
+
 # --- the coupled fixed point's closed form and known bracket ----------------------
 
 
@@ -694,7 +818,7 @@ def test_coupled_rate_on_an_inelastic_compute_market_is_the_lowest_that_clears()
     s = make_scenario(compute_supply=(3.0, 0.0), compute_demand=(3.0, 0.0))
     w_clear = clear_market(s.labor_supply_ts, s.labor_demand_ts).price
     lams = grid(0.1, 3.0, 60)
-    for lam, row in zip(lams, markets.solve_batch(s, "technology.lambda", lams, mode="coupled")):
+    for lam, row in zip(lams, solve_batch(s, "technology.lambda", lams, mode="coupled")):
         r_b = w_clear / lam
         assert row.regime is Regime.MIXED and row.l_a_star == 0.0
         assert row.ceiling >= w_clear and rel_err(row.r_c_star, r_b) < 1e-15
@@ -758,7 +882,7 @@ def test_coupled_sweeps_of_the_baseline_take_few_evaluations(baseline_scenario):
               "labor_demand_ts.scale": (1.0, 50.0), "policy.tau_c": (0.01, 1.0)}
     with _find_root_calls() as calls:
         for param, (start, stop) in ranges.items():
-            rows = markets.solve_batch(baseline_scenario, param, grid(start, stop, 200, log=True),
+            rows = solve_batch(baseline_scenario, param, grid(start, stop, 200, log=True),
                                        mode="coupled")
             assert not any(isinstance(row, CawError) for row in rows)
     evaluations = [report.evaluations for _excess, report in calls]
@@ -827,7 +951,7 @@ def test_batch_row_whose_labor_quantities_leave_the_float_range_is_a_solver_erro
     # A binding ceiling of 1e-200 * k * 2: labor demand 10 * ceiling**-2 overflows
     # at k = 0.5, and is 2.5 at k = 1e200.
     s = make_scenario(lam=1e-200, k=0.5, labor_demand=(10.0, 2.0))
-    rows = markets.solve_batch(s, "technology.k", [0.5, 1e200])
+    rows = solve_batch(s, "technology.k", [0.5, 1e200])
     assert isinstance(rows[0], SolverError)
     assert str(rows[0]) == "labor quantity at the equilibrium wage lies outside the floating-point range"
     assert rows[1].ceiling == 2.0 and math.isfinite(rows[1].l_a_star)

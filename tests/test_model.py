@@ -171,7 +171,6 @@ def _one_of_each_record():
         caw.semi_elasticity(setup),
         bill,
         bill.before,
-        caw.sweep(make_scenario(), "technology.k", [1.0])[0],
         caw.table1()[0][0],
         caw.OutputTable(headers=("x",), rows=((1.0,),), metadata={"command": "x"}),
         find_root(lambda p: 1.0 - p, abs_tol=1e-12),
@@ -187,19 +186,19 @@ _PUBLIC_NAMES = {
     "CurveKind", "DegenerateCeiling", "DemandPair", "EquilibriumResult", "FactorPrices", "FactorShares",
     "Infeasible", "InvalidInput", "IsoElasticCurve", "NoConvergence", "NoEquilibrium", "OutputTable",
     "ParseError", "PolicyLevers", "Regime", "SWEEPABLE_PARAMS", "Scenario", "SemiElasticity",
-    "SolverError", "StaticsPoint", "StaticsSetup", "SweepRow", "TaskProfile", "Technology",
+    "SolverError", "StaticsPoint", "StaticsSetup", "TaskProfile", "Technology",
     "ValidationError", "Violation", "WageBillResponse", "WageBillState", "__version__", "agent_wage",
     "caw_ceiling", "caw_trajectory", "ces_output", "classify_regime", "clear_market",
     "conditional_demands", "demand_curve", "emit_scenario", "emit_table", "factor_shares", "grid",
     "leontief_requirements", "linear_costmin", "occupation_wage", "parse_scenario", "relative_wage",
-    "semi_elasticity", "solve_capped_labor_market", "solve_compute_market", "solve_coupled",
-    "solve_scenario", "solve_statics_point", "supply_curve", "sweep", "table1", "unit_cost",
+    "semi_elasticity", "solve_batch", "solve_capped_labor_market", "solve_compute_market", "solve_coupled",
+    "solve_scenario", "solve_statics_point", "supply_curve", "table1", "unit_cost",
     "validate_scenario", "wage_bill_response",
 }
 
 
 def test_public_surface_is_exactly_all():
-    assert len(_PUBLIC_NAMES) == 64
+    assert len(_PUBLIC_NAMES) == 63
     assert set(caw.__all__) == _PUBLIC_NAMES
     assert len(set(caw.__all__)) == len(caw.__all__)
     namespace = {}

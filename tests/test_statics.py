@@ -10,9 +10,6 @@ from caw import (
     CesParams,
     Infeasible,
     InvalidInput,
-    NoEquilibrium,
-    Regime,
-    SWEEPABLE_PARAMS,
     StaticsSetup,
     Technology,
     caw_trajectory,
@@ -20,18 +17,14 @@ from caw import (
     demand_curve,
     relative_wage,
     semi_elasticity,
-    solve_coupled,
-    solve_scenario,
     solve_statics_point,
     supply_curve,
-    sweep,
-    validate_scenario,
     wage_bill_response,
 )
-from caw import constants, markets, statics
+from caw import constants, statics
 from caw.model import IsoElasticCurve
 from caw.roots import find_root
-from conftest import make_scenario, raises_range_error, rel_err, with_field
+from conftest import raises_range_error, rel_err
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
 
@@ -497,116 +490,3 @@ def test_wage_bill_response_rejects_curves_outside_the_curve_rule(output_demand,
 def test_slack_ceiling_raises_by_default():
     with pytest.raises(CeilingNotBinding):
         wage_bill_response(demand_curve(4.0, 3.0), supply_curve(1.0, 1.0), 2.0, 1.0)
-
-
-# --- sweep ----------------------------------------------------------------------
-
-
-def test_sweep_over_compute_supply_scale_orders_wages():
-    s = make_scenario()
-    rows = sweep(s, "compute_supply.scale", [1.0, 2.0, 4.0])
-    wages = [row.result.w_h_star for row in rows]
-    # More compute supply lowers the rental rate and the binding wage.
-    assert wages[0] > wages[1] > wages[2]
-    for row, scale in zip(rows, (1.0, 2.0, 4.0)):
-        expected_rc = (4.0 / scale) ** 0.5
-        assert rel_err(row.result.r_c_star, expected_rc) < 1e-12
-        assert rel_err(row.result.w_h_star, expected_rc) < 1e-12
-
-
-def test_sweep_lambda_reproduces_ceiling_column():
-    s = make_scenario()
-    rows = sweep(s, "technology.lambda", [0.5, 1.0, 2.0])
-    assert [row.result.ceiling for row in rows] == [1.0, 2.0, 4.0]
-
-
-def test_sweep_linearity_of_binding_wage_in_lambda():
-    s = make_scenario()
-    grid = [0.5, 0.75, 1.0, 1.25, 1.5]
-    rows = sweep(s, "technology.lambda", grid)
-    assert all(row.result.ceiling_binds for row in rows)
-    slope = rows[0].result.w_h_star / grid[0]
-    for value, row in zip(grid, rows):
-        assert abs(row.result.w_h_star - slope * value) < 1e-10
-
-
-def test_sweep_single_point_equals_direct_solve(baseline_scenario):
-    from caw import solve_scenario
-
-    rows = sweep(baseline_scenario, "technology.k", [1.0])
-    assert rows[0].result == solve_scenario(baseline_scenario, "capped")
-
-
-def test_sweep_records_row_errors_and_continues():
-    s = make_scenario()
-    rows = sweep(s, "technology.lambda", [1.0, -1.0, 2.0])
-    assert rows[0].error is None
-    assert rows[1].result is None and rows[1].error
-    assert rows[2].error is None
-
-
-def test_sweep_row_error_is_the_solver_message():
-    # Inelastic compute supply below an inelastic exogenous demand has no
-    # coupled equilibrium; above it, it has one.
-    s = make_scenario(compute_supply=(1.0, 0.0), compute_demand=(3.0, 0.0))
-    rows = sweep(s, "compute_supply.scale", [1.0, 5.0], solver="coupled")
-    with pytest.raises(NoEquilibrium) as info:
-        solve_coupled(with_field(s, "compute_supply.scale", 1.0))
-    assert rows[0].result is None and rows[0].error == str(info.value)
-    assert rows[1].error is None
-
-
-def test_sweep_over_extreme_compute_elasticity_has_finite_rows():
-    s = make_scenario()
-    rows = sweep(s, "compute_supply.elasticity", [1.0, 40.0, 400.0], solver="coupled")
-    for row in rows:
-        assert row.error is None
-        assert all(math.isfinite(v) for v in (row.result.r_c_star, row.result.k_c_star))
-
-
-def test_sweep_does_not_swallow_program_errors(monkeypatch, baseline_scenario):
-    # The capped batch kernel places every row against the ceiling per unit rate.
-    def broken(tech, policy):
-        raise ZeroDivisionError("float division by zero")
-
-    monkeypatch.setattr(markets, "_ceiling_factor", broken)
-    with pytest.raises(ZeroDivisionError):
-        sweep(baseline_scenario, "technology.k", [1.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    param=st.sampled_from(SWEEPABLE_PARAMS),
-    value=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
-)
-def test_sweep_checks_values_with_the_scenario_rules(param, value):
-    # A swept value meets exactly the rule a scenario document meets.
-    s = make_scenario()
-    point = with_field(s, param, value)
-    expected = [v.message for v in validate_scenario(point)]
-    (row,) = sweep(s, param, [value])
-    if expected:
-        assert [row.error] == expected and row.result is None
-        return
-    try:
-        direct, error = solve_scenario(point, "capped"), None
-    except CawError as exc:
-        direct, error = None, str(exc)
-    assert (repr(row.result), row.error) == (repr(direct), error)
-
-
-def test_sweep_row_for_a_nonfinite_value_names_the_rule(baseline_scenario):
-    rows = sweep(baseline_scenario, "technology.lambda", [math.nan, 1.0], solver="coupled")
-    assert rows[0].error == "lambda must be finite" and rows[0].result is None
-    assert rows[1].error is None
-
-
-def test_sweep_rejects_unknown_parameter(baseline_scenario):
-    with pytest.raises(InvalidInput):
-        sweep(baseline_scenario, "technology.quux", [1.0])
-
-
-def test_sweep_coupled_solver(baseline_scenario):
-    rows = sweep(baseline_scenario, "technology.lambda", [1.0], solver="coupled")
-    assert rows[0].result.regime in (Regime.MIXED, Regime.HUMAN_ONLY)
-    assert rows[0].result.r_c_star > 2.0
