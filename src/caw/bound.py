@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import PolicyLevers, Regime, Technology, require, require_part, rule_error, within
+from .model import PolicyLevers, Regime, Technology, require, require_part
 
 
 class Allocation(NamedTuple):
@@ -37,8 +37,7 @@ CEILING = "wage ceiling lambda*k*(1+tau_c)*mu*r_c"  # its name in caw.model.in_f
 
 def require_rate(r_c: float) -> None:
     """The one rental-rate rule: InvalidInput unless ``r_c`` is finite and >= 0."""
-    if not within(r_c, 0.0, True):  # require's test, one call fewer on the sweep path
-        raise rule_error("rental rate", r_c, 0.0, True)
+    require("rental rate", r_c, 0.0, True)
 
 
 def agent_wage(tech: Technology, r_c: float) -> float:

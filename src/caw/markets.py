@@ -37,8 +37,8 @@ a compute curve is swept. The search's excess reads each curve's scale and
 signed exponent once per row and computes each quantity as
 scale * price**exponent; where a power is not a normal float it falls back
 to :meth:`caw.model.IsoElasticCurve.quantity`, so it agrees with the curves
-bit for bit. Solvers allocate no global state; independent scenarios may be
-solved concurrently.
+bit for bit. No caw module keeps state between calls; independent scenarios
+may be solved concurrently.
 """
 
 from __future__ import annotations
@@ -368,11 +368,11 @@ def _power(curve: IsoElasticCurve | None) -> tuple[float, float]:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the CawError it raised."""
+    """``fn(*args)``, or the CawError it raised, without its traceback."""
     try:
         return fn(*args)
     except CawError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 _COMPUTE_PARTS = ("compute_supply", "compute_demand_exogenous")
@@ -468,7 +468,7 @@ def solve_batch(
                 r_c = _coupled_rate(tech, factor, compute_supply, compute_demand, supply, demand, clear, r0)
             rows.append(_place_at_ceiling(tech, factor, r_c, supply, demand, clear, slack))
         except CawError as exc:  # per-row failures are data, not aborts
-            rows.append(exc)
+            rows.append(exc.with_traceback(None))  # its frames would hold rows, a cycle
     return rows
 
 

@@ -402,21 +402,17 @@ def require(name: str, value, bound: float = 0.0, inclusive: bool = False) -> No
 
 # Each model record's fields in SECTIONS; every curve section states the same rule.
 _PART_FIELDS = {IsoElasticCurve if isinstance(sec.kind, CurveKind) else sec.kind: sec.fields for sec in SECTIONS}
-# The last part of each class that passed (statics checks a setup at three points); records are immutable.
-_PASSED: dict = {}
 
 
 def require_part(part, prefix: str = "") -> None:
     """Raise InvalidInput unless each field of ``part`` (a Technology, CesParams,
     PolicyLevers or curve) meets its scenario rule, :func:`within`; the
-    message names the field's document key after ``prefix``."""
-    cls = type(part)
-    if _PASSED.get(cls) is not part:
-        fields = _PART_FIELDS[cls]
-        for f, value in zip(fields, part[-len(fields):]):  # a curve's kind comes first
-            if not within(value, f.bound, f.inclusive):
-                raise rule_error(prefix + f.key, value, f.bound, f.inclusive)
-        _PASSED[cls] = part
+    message names the field's document key after ``prefix``. It keeps no
+    state: an entry that reads a part more than once checks it once."""
+    fields = _PART_FIELDS[type(part)]
+    for f, value in zip(fields, part[-len(fields):]):  # a curve's kind comes first
+        if not within(value, f.bound, f.inclusive):
+            raise rule_error(prefix + f.key, value, f.bound, f.inclusive)
 
 
 def require_curve(curve: IsoElasticCurve, kind: CurveKind, name: str) -> None:

@@ -2,11 +2,11 @@
 ceiling time trajectories, wage-vs-wage-bill analysis, and the grids sweeps
 run over (the sweep itself is :func:`caw.markets.solve_batch`).
 
-Inputs are held to the scenario rules, else InvalidInput: each curve
-argument to :func:`caw.model.require_curve`, a statics setup's CES
-parameters to :func:`caw.model.require_part`, a policy to it through
+Each public entry holds its inputs to the scenario rules once, else InvalidInput,
+and computes unchecked after that: a curve by :func:`caw.model.require_curve`,
+a setup's CES parameters by :func:`caw.model.require_part`, a policy through
 :func:`caw.bound.caw_ceiling`, and each bare number (a setup's demand and agent
-wage, times, ceilings) to its lower bound by :func:`caw.model.require`.
+wage, times, ceilings) by its lower bound, :func:`caw.model.require`.
 
 The pass-through identity checked here is
 
@@ -55,7 +55,7 @@ from . import constants
 from .bound import caw_ceiling
 from .ces import _branch, _cd_exponents, _log_power_mean
 from .errors import CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
-from .markets import clear_market
+from .markets import _clearing_price
 from .model import CesParams, CurveKind, IsoElasticCurve, _exp, in_float_range
 from .model import PolicyLevers, Technology, require, require_curve, require_part
 from .roots import REACHABLE, find_root
@@ -118,11 +118,16 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     float-range SolverError of :func:`caw.model.in_float_range` when the wage
     or a labor quantity is not a normal float.
     """
+    require("l_eff_demand", su.l_eff_demand)
+    require("w_a_eff", su.w_a_eff)
+    require_curve(su.labor_supply, CurveKind.SUPPLY, "labor_supply")
+    require_part(su.ces, "CES parameter ")
+    return _statics_point(su)
+
+
+def _statics_point(su: StaticsSetup) -> StaticsPoint:
+    """:func:`solve_statics_point` on a setup whose inputs met their rules."""
     ces, demand, supply, w_a_eff = su
-    require("l_eff_demand", demand)
-    require("w_a_eff", w_a_eff)
-    require_curve(supply, CurveKind.SUPPLY, "labor_supply")
-    require_part(ces, "CES parameter ")
     A, alpha, beta, sigma = ces
     branch = _branch(sigma)
     if branch == "leontief":
@@ -206,10 +211,10 @@ def semi_elasticity(
     h = rel_step
     ces, demand, supply, w_a_eff = su
     base = solve_statics_point(su)
-    # The shifted setups by positional construction, cheaper than _replace, which takes keywords.
+    # Only the agent wage, held by in_float_range, differs from the checked base: unchecked.
     shifted = "shifted agent wage w_a_eff*exp(+-rel_step)"
-    minus = solve_statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(-h), shifted)))
-    plus = solve_statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(h), shifted)))
+    minus = _statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(-h), shifted)))
+    plus = _statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(h), shifted)))
 
     fd = (math.log(plus.w_h) - math.log(minus.w_h)) / (2.0 * h)
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h
@@ -268,7 +273,7 @@ def wage_bill_response(
     require_curve(output_demand, CurveKind.DEMAND, "output_demand")
     require_curve(labor_supply, CurveKind.SUPPLY, "labor_supply")
     if check_binding:
-        w_clear = clear_market(labor_supply, output_demand).price
+        w_clear = _clearing_price(labor_supply, output_demand)
         for label, ceiling in (("before", ceiling_before), ("after", ceiling_after)):
             if w_clear < ceiling:
                 raise CeilingNotBinding(

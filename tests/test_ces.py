@@ -70,6 +70,22 @@ def test_output_zero_input_with_complements_is_zero_not_error():
     assert ces_output(ces, 2.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "sigma, l_h, l_a, expected",
+    [
+        (1e-5, 2.0, 3.0, 2.0),  # fixed proportions: the scarcer input
+        (1.0, 0.0, 3.0, 0.0),  # Cobb-Douglas without one input
+        (1.0, 2.0, 0.0, 0.0),
+        (2.0, 0.0, 0.0, 0.0),  # no input at all
+        (2.0, 0.0, 4.0, 1.0),  # substitutes, agents alone: 0.5**2 * 4
+    ],
+)
+def test_output_at_fixed_proportions_and_zero_inputs(sigma, l_h, l_a, expected):
+    assert ces_output(CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=sigma), l_h, l_a) == pytest.approx(
+        expected, rel=1e-14, abs=0.0
+    )
+
+
 def test_output_rejects_negative_inputs():
     with pytest.raises(InvalidInput):
         ces_output(SYM, -1.0, 1.0)

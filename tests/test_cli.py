@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caw.cli import run_command
+from caw.cli import main, run_command
 from caw.constants import SIGMA_LEONTIEF_THRESHOLD
 from caw.model import SECTIONS, field_violation
 from conftest import make_scenario
@@ -526,6 +526,22 @@ def test_argument_errors_reach_the_callers_stderr(capsys, argv, fragment):
     assert code == 2 and out == ""
     assert err.startswith("error: caw") and fragment in err and err.count("\n") == 1
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["bound", "--lambda", "2", "--k", "3", "--rc", "0.5"], 0,
+         "lambda,k,r_c,tau_c,mu,ceiling\n2.0,3.0,0.5,0.0,1.0,3.0\n"),
+        (["bound", "--lambda", "2"], 2, ""),
+    ],
+)
+def test_main_exits_with_the_command_code(monkeypatch, capsys, argv, code, out):
+    monkeypatch.setattr(sys, "argv", ["caw", *argv])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == code
+    assert capsys.readouterr().out.startswith(out)
 
 
 def test_help_exits_zero(capsys):

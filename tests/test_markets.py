@@ -75,6 +75,11 @@ def test_clear_market_price_beyond_float_range_raises(d0):
         clear_market(supply_curve(1.0, 0.0), demand_curve(d0, 0.001))
 
 
+def test_clear_market_rejects_an_unknown_method():
+    with pytest.raises(InvalidInput, match="^unknown clearing method 'bisect'$"):
+        clear_market(supply_curve(1.0, 1.0), demand_curve(4.0, 1.0), method="bisect")
+
+
 def test_clear_market_kind_mismatch_rejected():
     with pytest.raises(InvalidInput):
         clear_market(demand_curve(1.0, 1.0), demand_curve(4.0, 1.0))
@@ -957,3 +962,31 @@ def test_batch_row_whose_labor_quantities_leave_the_float_range_is_a_solver_erro
     assert rows[1].ceiling == 2.0 and math.isfinite(rows[1].l_a_star)
     with pytest.raises(SolverError, match="labor quantity"):
         solve_scenario(make_scenario(lam=1e100, k=1e100, labor_demand=(1e300, 0.0)))
+    # A slack ceiling: supply 1e-100 * w**2 at the clearing wage sqrt(max / 1e-100),
+    # taken in logs, rounds past the float maximum.
+    s = make_scenario(lam=1e205, labor_supply=(1e-100, 2.0), labor_demand=(sys.float_info.max, 0.0))
+    (row,) = solve_batch(s)
+    assert isinstance(row, SolverError)
+    assert str(row) == "labor quantity at the equilibrium wage lies outside the floating-point range"
+    w_clear = markets._clearing_price(s.labor_supply_ts, s.labor_demand_ts)
+    assert w_clear < 1e205 * 2.0 and s.labor_supply_ts.quantity(w_clear) == math.inf
+
+
+@pytest.mark.parametrize(
+    "mode, scenario, param, values",
+    [
+        # A row's own solve fails (labor overflows at k = 0.5), a value breaks its rule,
+        # and every row shares a failed stage (no exogenous demand prices compute).
+        ("capped", dict(lam=1e-200, labor_demand=(10.0, 2.0)), "technology.k", [0.5, -1.0, 1e200]),
+        ("capped", dict(compute_demand=None), "technology.lambda", [1.0, 2.0]),
+        # Inelastic compute supply below an inelastic exogenous demand of 3: no rate clears.
+        ("coupled", dict(compute_supply=(1.0, 0.0), compute_demand=(3.0, 0.0)), "compute_supply.scale",
+         [0.0, 1.0, 2.0, 3.0]),
+        ("coupled", dict(labor_supply=(1.0, 0.0), labor_demand=(2.0, 0.0)), "technology.k", [1.0, 2.0]),
+    ],
+)
+def test_error_rows_are_stored_without_their_tracebacks(mode, scenario, param, values):
+    # A traceback's frames would hold the batch's own rows: a cycle only the cyclic collector frees.
+    rows = solve_batch(make_scenario(**scenario), param, values, mode=mode)
+    errors = [row for row in rows if isinstance(row, CawError)]
+    assert errors and all(row.__traceback__ is None for row in errors)

@@ -20,7 +20,7 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
-from caw.model import SECTIONS, Scenario, in_float_range
+from caw.model import SECTIONS, Scenario, Violation, in_float_range
 from conftest import make_scenario, raises_range_error
 
 
@@ -44,6 +44,10 @@ def test_sigma_zero_is_one_violation():
     assert len(violations) == 1
     assert violations[0].message == "sigma must be > 0"
     assert violations[0].code == "ces.sigma.nonpositive"
+
+
+def test_a_violation_prints_as_its_message():
+    assert str(Violation("ces.sigma.nonpositive", "sigma must be > 0")) == "sigma must be > 0"
 
 
 def test_markup_below_one_is_one_violation():
@@ -385,7 +389,7 @@ def test_library_rule_messages(call, message):
 
 
 def test_a_part_that_passed_once_is_checked_again_after_a_failure():
-    # The check remembers the last part of each class that passed; a broken one never replaces it.
+    # The check keeps no state: a part that passed once does not excuse a broken one later.
     caw.caw_ceiling(_TECH, 1.0)
     bad = _TECH._replace(k=math.nan)
     for _ in range(2):
@@ -405,6 +409,18 @@ def test_a_part_that_passed_once_is_checked_again_after_a_failure():
 )
 def test_curve_quantity_in_range_where_the_power_alone_is_not(curve, price, expected):
     assert curve.quantity(price) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "curve, price, expected",
+    [
+        (supply_curve(-1.0, 1.0), 1e-310, -1e-310),  # the power is subnormal
+        (demand_curve(-2.0, 2.0), 1e-200, -math.inf),  # the power overflows
+    ],
+)
+def test_curve_quantity_with_a_scale_outside_the_rule_is_the_plain_product(curve, price, expected):
+    # A scale outside the curve rule has no log, so the product is not retaken in logs.
+    assert curve.quantity(price) == expected
 
 
 def test_curve_quantity_beyond_the_float_range_is_inf_or_zero():

@@ -21,8 +21,8 @@ from caw import (
     supply_curve,
     wage_bill_response,
 )
-from caw import constants, statics
-from caw.model import IsoElasticCurve
+from caw import constants, model, statics
+from caw.model import CurveKind, IsoElasticCurve
 from caw.roots import find_root
 from conftest import raises_range_error, rel_err
 
@@ -389,6 +389,40 @@ def test_one_sided_differences_bracket_the_centered_one():
     su = StaticsSetup(ces=SYM, l_eff_demand=1.0, labor_supply=supply_curve(0.8, 1.0), w_a_eff=1.0)
     se = semi_elasticity(su, rel_step=1e-3)
     assert min(se.fd_forward, se.fd_backward) <= se.fd <= max(se.fd_forward, se.fd_backward)
+
+
+def _record_calls(monkeypatch, module, names) -> dict[str, list]:
+    """Wrap each function ``names`` of ``module`` to record its calls' arguments, by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+
+        def recorded(*args, _check=getattr(module, name), _calls=calls[name]):
+            _calls.append(args)
+            return _check(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("sigma, elasticity", [(1.0, 1.0), (2.0, 0.0), (2.0, 1.0), (1e7, 1.0)])
+def test_semi_elasticity_checks_its_setup_once(monkeypatch, sigma, elasticity):
+    # Three points are solved; the two shifted ones differ from the base only in an agent wage.
+    calls = _record_calls(monkeypatch, statics, ("require_part", "require_curve", "require"))
+    su = StaticsSetup(CesParams(1.0, 0.5, 0.5, sigma), 2.0, supply_curve(1.0, elasticity), 1.5)
+    semi_elasticity(su)
+    assert calls == {
+        "require_part": [(su.ces, "CES parameter ")],
+        "require_curve": [(su.labor_supply, CurveKind.SUPPLY, "labor_supply")],
+        "require": [("l_eff_demand", 2.0), ("w_a_eff", 1.5)],
+    }
+
+
+def test_wage_bill_response_checks_each_curve_once(monkeypatch):
+    # Every curve check, from any module, ends in caw.model.require_part.
+    calls = _record_calls(monkeypatch, model, ("require_part",))
+    demand, supply = demand_curve(4.0, 1.0), supply_curve(1.0, 1.0)
+    wage_bill_response(demand, supply, 2.0, 1.0)
+    assert calls == {"require_part": [(demand, "output_demand "), (supply, "labor_supply ")]}
 
 
 def test_rel_step_bounds_enforced():
