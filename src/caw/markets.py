@@ -34,11 +34,10 @@ fixed point and no search runs; otherwise the search starts from the known
 bracket [r0, r_b] (or a floor below r_b without exogenous demand), and
 the compute price r0, like a capped row's, is computed once per sweep unless
 a compute curve is swept. The search's excess reads each curve's scale and
-signed exponent once per row and computes each quantity as
-scale * price**exponent; where a power is not a normal float it falls back
-to :meth:`caw.model.IsoElasticCurve.quantity`, so it agrees with the curves
-bit for bit. No caw module keeps state between calls; independent scenarios
-may be solved concurrently.
+signed exponent once per row and takes each quantity by the curves' own
+rule, :func:`caw.model.power_law`, so it agrees with them bit for bit. No
+caw module keeps state between calls; independent scenarios may be solved
+concurrently.
 """
 
 from __future__ import annotations
@@ -64,7 +63,9 @@ from .model import (
     _exp,
     field_violation,
     in_float_range,
+    power_law,
     require_curve,
+    rule_error,
     validate_scenario,
     within,
 )
@@ -283,11 +284,9 @@ def _coupled_rate(
     monotone in the rate, so the quantity that clears is that large too.
 
     The excess reads each curve's scale and signed exponent once and takes
-    each quantity as ``scale * price**exponent``, the product
-    :meth:`caw.model.IsoElasticCurve.quantity` returns wherever the power is
-    a normal float. At a rate where a power is not one, or ``**`` raises
-    (an overflow, or a zero ceiling under a negative exponent), it composes
-    :func:`_agent_labor` and the curves' ``quantity`` instead. So every
+    each quantity by :func:`caw.model.power_law`, as the curves do; a
+    ceiling that is 0 or not a price goes to :func:`_agent_labor`, and a
+    rate that is not a price raises the curves' InvalidInput. So every
     value, and every error, is that of the curves, bit for bit.
     """
     if isinstance(w_clear, CawError):
@@ -313,44 +312,22 @@ def _coupled_rate(
             bracket = (min(DEFAULT_BRACKET[0], hi - 1.0), hi)
 
     k, lam = tech.k, tech.lam
-
-    def composed(r_c: float) -> float:
-        """The excess with each quantity read from its curve."""
-        ceiling = factor * r_c
-        if ceiling != 0.0 and w_clear <= ceiling:
-            derived = 0.0
-        else:
-            derived = k * _agent_labor(tech, ceiling, supply, demand)[2]
-        exogenous = compute_demand.quantity(r_c) if compute_demand is not None else 0.0
-        return derived + exogenous - compute_supply.quantity(r_c)
-
-    # An inelastic curve's power is 1.0, and scale * 1.0 == scale;
-    # no exogenous demand is 0.0 * 1.0.
     (a_sup, e_sup), (a_exo, e_exo), (a_ls, e_ls), (a_ld, e_ld) = (
         _power(compute_supply), _power(compute_demand), _power(supply), _power(demand)
     )
 
     def excess(r_c: float) -> float:
         ceiling = factor * r_c
-        try:
-            p_sup, p_exo = r_c**e_sup, r_c**e_exo
-            if ceiling != 0.0 and w_clear <= ceiling:
-                p_ls = p_ld = 1.0
-                derived = 0.0
-            else:
-                p_ls, p_ld = ceiling**e_ls, ceiling**e_ld
-                gap = a_ld * p_ld - a_ls * p_ls
-                derived = k * (lam * (gap if gap > 0.0 else 0.0))  # _agent_labor's max(0.0, gap)
-        except (OverflowError, ZeroDivisionError):
-            p_sup = math.nan  # fails the first test below, so the curves decide
-        if (
-            _MIN_NORMAL <= p_sup < math.inf and _MIN_NORMAL <= p_exo < math.inf
-            and _MIN_NORMAL <= p_ls < math.inf and _MIN_NORMAL <= p_ld < math.inf
-            and 0.0 < r_c < math.inf
-        ):
-            value = derived + a_exo * p_exo - a_sup * p_sup
-        else:  # a power beyond the normal range: the curves take it in logs, or raise
-            value = composed(r_c)
+        if ceiling != 0.0 and w_clear <= ceiling:
+            derived = 0.0
+        elif not 0.0 < ceiling < math.inf:  # 0, or no price: the curves decide, or raise
+            derived = k * _agent_labor(tech, ceiling, supply, demand)[2]
+        else:
+            gap = power_law(a_ld, e_ld, ceiling) - power_law(a_ls, e_ls, ceiling)
+            derived = k * (lam * (gap if gap > 0.0 else 0.0))  # _agent_labor's max(0.0, gap)
+        if not 0.0 < r_c < math.inf:
+            raise rule_error("price", r_c, 0.0, False)
+        value = derived + power_law(a_exo, e_exo, r_c) - power_law(a_sup, e_sup, r_c)
         if value != value:  # NaN: inf - inf
             in_float_range(value, "compute quantity at the fixed point")
         return value

@@ -125,23 +125,26 @@ class IsoElasticCurve(NamedTuple):
     elasticity: float
 
     def quantity(self, price: float) -> float:
-        """Quantity at ``price`` (> 0); ``inf`` where it overflows. Where the
-        power alone is not a normal float, the product is taken in logs."""
+        """Quantity at ``price`` (> 0) by :func:`power_law`; InvalidInput at any other price."""
         if not 0.0 < price < math.inf:
             raise rule_error("price", price, 0.0, False)
         kind, scale, elasticity = self
-        if elasticity == 0.0:
-            return scale
-        exponent = elasticity if kind is CurveKind.SUPPLY else -elasticity
-        try:
-            power = price**exponent
-            if power >= _MIN_NORMAL:  # or inf at an infinite exponent, as before
-                return scale * power
-        except OverflowError:
-            power = math.inf
-        if not scale > 0.0:  # a scale outside the curve rule has no log
+        return power_law(scale, elasticity if kind is CurveKind.SUPPLY else -elasticity, price)
+
+
+def power_law(scale: float, exponent: float, price: float) -> float:
+    """The one iso-elastic rule, ``scale * price**exponent`` at a price > 0;
+    ``inf`` where it overflows. Where the power alone is not a normal float,
+    the product is taken in logs. An exponent of 0 gives ``scale`` exactly."""
+    try:
+        power = price**exponent
+        if power >= _MIN_NORMAL:  # or inf at an infinite exponent, as before
             return scale * power
-        return _exp(math.log(scale) + exponent * math.log(price))
+    except OverflowError:
+        power = math.inf
+    if not scale > 0.0:  # a scale outside the curve rule has no log
+        return scale * power
+    return _exp(math.log(scale) + exponent * math.log(price))
 
 
 def supply_curve(scale: float, elasticity: float) -> IsoElasticCurve:
