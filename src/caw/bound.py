@@ -10,13 +10,14 @@ costs differ.
 Every entry holds its technology, and ``caw_ceiling`` its policy, to the
 scenario rules (:func:`caw.model.require_part`), a rental rate to :func:`require_rate`
 (finite and >= 0), and each other number to its lower bound (:func:`caw.model.require`).
+A wage beyond the float range raises SolverError (:func:`caw.model.in_float_range`).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import PolicyLevers, Regime, Technology, require, require_part
+from .model import PolicyLevers, Regime, Technology, in_float_range, require, require_part
 
 
 class Allocation(NamedTuple):
@@ -41,10 +42,10 @@ def require_rate(r_c: float) -> None:
 
 
 def agent_wage(tech: Technology, r_c: float) -> float:
-    """Effective cost of one agent-labor-hour: k * r_c (currency/hour)."""
+    """Effective cost of one agent-labor-hour: k * r_c (currency/hour), 0 only at a zero rate."""
     require_part(tech)
     require_rate(r_c)
-    return tech.k * r_c
+    return in_float_range(tech.k * r_c, "agent wage k*r_c", zero=r_c == 0.0)
 
 
 def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None) -> float:
@@ -53,7 +54,7 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     A compute tax and a compute-market markup both scale the ceiling
     proportionally, so they compose multiplicatively and order is irrelevant.
     At a zero rental rate the ceiling is exactly zero, even where the product
-    of the other factors overflows.
+    of the other factors overflows; at a positive one it may underflow to 0.
     """
     require_part(tech)
     require_rate(r_c)
@@ -61,7 +62,7 @@ def caw_ceiling(tech: Technology, r_c: float, policy: PolicyLevers | None = None
     require_part(policy)
     if r_c == 0.0:
         return r_c
-    return _ceiling_factor(tech, policy) * r_c
+    return in_float_range(_ceiling_factor(tech, policy) * r_c, CEILING, zero=True)
 
 
 def _ceiling_factor(tech: Technology, policy: PolicyLevers) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import FactorShares, TaskProfile, require
+from .model import FactorShares, TaskProfile, in_float_range, require
 
 # Reference grid axes: productivity ratios x (compute intensity, rental rate).
 CALIBRATION_LAMBDAS: tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -61,9 +61,11 @@ def occupation_wage(profile: TaskProfile, ceiling: float) -> float:
 def factor_shares(w_h: float, l_h: float, r_c: float, k_c: float, y: float) -> FactorShares:
     """Labor and compute payments as fractions of output value y.
 
-    When y is constructed as total two-factor payments the shares sum to one.
+    When y is constructed as total two-factor payments the shares sum to one;
+    a share that overflows raises SolverError (:func:`caw.model.in_float_range`).
     """
     require("y", y)
     for name, value in (("w_h", w_h), ("l_h", l_h), ("r_c", r_c), ("k_c", k_c)):
         require(name, value, 0.0, True)
-    return FactorShares(s_labor=w_h * l_h / y, s_compute=r_c * k_c / y)
+    s_labor = in_float_range(w_h * l_h / y, "labor share w_h*l_h/y", zero=True)
+    return FactorShares(s_labor, in_float_range(r_c * k_c / y, "compute share r_c*k_c/y", zero=True))

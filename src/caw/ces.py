@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from . import constants
 from .bound import Allocation, linear_costmin
-from .model import _MIN_NORMAL, CesParams, Technology, _exp, in_float_range, require, require_part
+from .model import _MIN_NORMAL, CesParams, Technology, _exp, in_float_range, power_law, require, require_part
 
 
 class DemandPair(NamedTuple):
@@ -78,11 +78,15 @@ def _cd_exponents(ces: CesParams) -> tuple[float, float]:
 
 
 def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
-    """Effective labor produced by the bundle (l_h, l_a)."""
+    """Effective labor produced by the bundle (l_h, l_a); it may underflow, not overflow."""
     require_part(ces, "CES parameter ")
     require("l_h", l_h, 0.0, True)
     require("l_a", l_a, 0.0, True)
+    return in_float_range(_output(ces, l_h, l_a), "CES output", zero=True)
 
+
+def _output(ces: CesParams, l_h: float, l_a: float) -> float:
+    """:func:`ces_output`, inputs unchecked and the result unbounded (inf where it overflows)."""
     branch = _branch(ces.sigma)
     if branch == "linear":
         return ces.A * (ces.alpha * l_h + ces.beta * l_a)
@@ -92,7 +96,7 @@ def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
         if l_h == 0.0 or l_a == 0.0:
             return 0.0
         a, b = _cd_exponents(ces)
-        return ces.A * math.exp(a * math.log(l_h) + b * math.log(l_a))
+        return ces.A * _exp(a * math.log(l_h) + b * math.log(l_a))
 
     rho = ces.rho
     if l_h == 0.0 and l_a == 0.0:
@@ -100,10 +104,10 @@ def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
     if rho < 0.0 and (l_h == 0.0 or l_a == 0.0):
         return 0.0  # zero-output limit of the complements case
     if l_h == 0.0:
-        return ces.A * ces.beta ** (1.0 / rho) * l_a
+        return power_law(ces.A, 1.0 / rho, ces.beta) * l_a
     if l_a == 0.0:
-        return ces.A * ces.alpha ** (1.0 / rho) * l_h
-    return ces.A * math.exp(
+        return power_law(ces.A, 1.0 / rho, ces.alpha) * l_h
+    return ces.A * _exp(
         _log_power_mean(ces.alpha, math.log(l_h), ces.beta, math.log(l_a), rho)
     )
 
@@ -229,12 +233,13 @@ def conditional_demands(ces: CesParams, w_h: float, w_a: float) -> DemandPair:
 
 
 def relative_wage(ces: CesParams, l_h: float, l_a: float) -> float:
-    """Marginal-rate-of-substitution wage ratio (alpha/beta)*(l_h/l_a)**(-1/sigma)."""
+    """Marginal-rate-of-substitution wage ratio (alpha/beta)*(l_h/l_a)**(-1/sigma); it may underflow, not overflow."""
     require_part(ces, "CES parameter ")
     require("l_h", l_h)
     require("l_a", l_a)
-    log_ratio = math.log(l_h) - math.log(l_a)
-    return (ces.alpha / ces.beta) * math.exp(-log_ratio / ces.sigma)
+    log_power = (math.log(l_a) - math.log(l_h)) / ces.sigma
+    log_ratio = math.log(ces.alpha) - math.log(ces.beta) + log_power
+    return in_float_range((ces.alpha / ces.beta) * _exp(log_power), "relative wage", log_ratio, zero=True)
 
 
 def leontief_requirements(ces: CesParams, l_eff_target: float) -> DemandPair:

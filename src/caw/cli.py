@@ -26,7 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bound import CEILING, caw_ceiling, require_rate
+from .bound import agent_wage, caw_ceiling, require_rate
 from .calibration import factor_shares, table1
 from .ces import DemandPair, conditional_demands, unit_cost
 from .errors import CawError, InvalidInput, ParseError, SolverError, ValidationError
@@ -182,7 +182,7 @@ def _cmd_bound(args) -> OutputTable:
     )
     tech = Technology(lam=args.lam, k=args.k)
     policy = PolicyLevers(tau_c=args.tau, mu=args.mu)
-    ceiling = in_float_range(caw_ceiling(tech, args.rc, policy), CEILING, zero=True)
+    ceiling = caw_ceiling(tech, args.rc, policy)
     inputs = {"command": "bound", "lambda": args.lam, "k": args.k, "rc": args.rc, "tau": args.tau, "mu": args.mu}
     meta = standard_metadata(inputs_sha256(inputs), command="bound")
     return OutputTable(
@@ -229,7 +229,6 @@ def _cmd_trajectory(args) -> OutputTable:
     require("--t-max", args.t_max, 0.0, True)
     r_c = _rental_rate(s, args.rc)
     points = caw_trajectory(s.technology, r_c, times, s.policy)
-    in_float_range(points[0][1], CEILING, zero=True)  # the grid starts at t = 0, where the ceiling is largest
     meta = standard_metadata(scenario_sha256(s), command="trajectory", r_c=r_c)
     return OutputTable(headers=("t", "ceiling"), rows=tuple(points), metadata=meta)
 
@@ -237,7 +236,7 @@ def _cmd_trajectory(args) -> OutputTable:
 def _cmd_statics(args) -> OutputTable:
     s = _load_scenario(args.scenario)
     r_c = _rental_rate(s, args.rc)
-    w_a_eff = in_float_range(s.technology.k * r_c, "agent wage k*r_c") if r_c > 0.0 else r_c  # 0: an input error
+    w_a_eff = agent_wage(s.technology, r_c)  # 0: an input error of semi_elasticity
     setup = StaticsSetup(ces=s.ces, l_eff_demand=args.demand, labor_supply=s.labor_supply_ts, w_a_eff=w_a_eff)
     se = semi_elasticity(setup, rel_step=args.rel_step)
     meta = standard_metadata(scenario_sha256(s), command="statics", r_c=r_c)

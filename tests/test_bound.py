@@ -15,7 +15,8 @@ from caw import (
     classify_regime,
     linear_costmin,
 )
-from conftest import rel_err
+from caw.bound import CEILING
+from conftest import raises_range_error, rel_err
 
 
 def test_agent_wage_frontier_anchor():
@@ -28,6 +29,19 @@ def test_agent_wage_distilled_anchor():
 
 def test_agent_wage_zero_rental():
     assert agent_wage(Technology(lam=1.0, k=1.0), 0.0) == 0.0
+
+
+def test_agent_wage_beyond_the_float_range_is_a_range_error():
+    # k * r_c overflows, or underflows at a positive rate; a zero rate's wage is itself.
+    with raises_range_error("agent wage k*r_c"):
+        agent_wage(Technology(lam=1.0, k=1e200), 1e200)
+    with raises_range_error("agent wage k*r_c"):
+        agent_wage(Technology(lam=1.0, k=1e-200), 1e-200)
+    assert math.copysign(1.0, agent_wage(Technology(lam=1.0, k=1e200), -0.0)) == -1.0
+
+
+def test_ceiling_that_underflows_at_a_positive_rate_is_zero():
+    assert caw_ceiling(Technology(lam=1e-200, k=1e-200), 1.0) == 0.0
 
 
 def test_agent_wage_rejects_negative_rental():
@@ -144,4 +158,5 @@ def test_ceiling_at_a_zero_rate_is_zero_even_where_the_factor_overflows():
     tech = Technology(lam=1e200, k=1e200)
     assert caw_ceiling(tech, 0.0) == 0.0
     assert math.copysign(1.0, caw_ceiling(tech, -0.0)) == -1.0
-    assert caw_ceiling(tech, 1.0) == math.inf
+    with raises_range_error(CEILING):  # a positive rate's ceiling overflows
+        caw_ceiling(tech, 1.0)

@@ -2,7 +2,7 @@ import pytest
 
 from caw import FactorShares, InvalidInput, TaskProfile, factor_shares, occupation_wage, table1
 from caw import solve_capped_labor_market
-from conftest import make_scenario
+from conftest import make_scenario, raises_range_error
 
 # Reference ceilings in lam-major order (rows lam = 0.5, 1, 2; columns
 # (k, r_c) = (0.05, 2), (1, 2), (1, 5)).
@@ -11,6 +11,14 @@ EXPECTED_GRID = [
     [0.10, 2.00, 5.00],
     [0.20, 4.00, 10.00],
 ]
+
+
+def test_factor_share_beyond_the_float_range_is_a_range_error():
+    with raises_range_error("labor share w_h*l_h/y"):
+        factor_shares(1e200, 1e200, 1.0, 1.0, 2.0)
+    with raises_range_error("compute share r_c*k_c/y"):
+        factor_shares(1.0, 1.0, 1e200, 1e200, 2.0)
+    assert factor_shares(1e-200, 1e-200, 1.0, 1.0, 2.0) == FactorShares(0.0, 0.5)
 
 
 def test_reference_grid_is_exact():

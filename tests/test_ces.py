@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from caw.constants import (
     SHEPHARD_REL_STEP,
     SHEPHARD_REL_TOL,
 )
-from conftest import bruteforce_unit_cost, cd_unit_cost, rel_err
+from conftest import bruteforce_unit_cost, cd_unit_cost, raises_range_error, rel_err
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
 
@@ -234,7 +235,42 @@ def test_demands_linear_branch_matches_corner_costmin():
     assert ces_output(ces, pair.l_h, pair.l_a) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ces, l_h, l_a",
+    [
+        (CesParams(A=1e300, alpha=1.0, beta=1.0, sigma=2.0), 1e10, 1e10),  # general
+        (CesParams(A=1.0, alpha=1.0, beta=1e10, sigma=1.01), 0.0, 1.0),  # beta**(1/rho) overflows
+        (CesParams(A=1.0, alpha=1e10, beta=1e10, sigma=2.0), 1e308, 1e308),  # so does its exp
+        (CesParams(A=1e300, alpha=1.0, beta=1.0, sigma=1.0), 1e300, 1e300),  # Cobb-Douglas
+        (CesParams(A=1e300, alpha=1.0, beta=1.0, sigma=1e7), 1e10, 1e10),  # linear
+        (CesParams(A=1e300, alpha=1.0, beta=1.0, sigma=1e-5), 1e10, 1e10),  # Leontief
+    ],
+)
+def test_ces_output_beyond_the_float_range_is_a_range_error(ces, l_h, l_a):
+    with raises_range_error("CES output"):
+        ces_output(ces, l_h, l_a)
+
+
+def test_ces_output_may_underflow():
+    subnormal = ces_output(CesParams(A=1e-300, alpha=1.0, beta=1.0, sigma=1e7), 1e-10, 1e-10)
+    assert subnormal == 1e-300 * 2e-10 < sys.float_info.min
+
+
 # --- relative_wage ------------------------------------------------------------
+
+
+def test_relative_wage_beyond_the_float_range_is_a_range_error():
+    with raises_range_error("relative wage"):
+        relative_wage(CesParams(A=1.0, alpha=1.0, beta=1.0, sigma=0.5), 1e-300, 1e300)  # exp overflows
+    with raises_range_error("relative wage"):
+        relative_wage(CesParams(A=1.0, alpha=1e300, beta=1e-300, sigma=2.0), 1.0, 1.0)
+    assert relative_wage(CesParams(A=1.0, alpha=1e-300, beta=1e300, sigma=2.0), 1.0, 1.0) == 0.0
+
+
+def test_relative_wage_whose_weight_ratio_alone_overflows_is_taken_in_logs():
+    # alpha/beta is inf and (l_h/l_a)**(-1/sigma) is 1e-300; their product is 1e300.
+    ces = CesParams(A=1.0, alpha=1e300, beta=1e-300, sigma=2.0)
+    assert relative_wage(ces, 1e300, 1e-300) == pytest.approx(1e300, rel=1e-12)
 
 
 def test_relative_wage_symmetric():

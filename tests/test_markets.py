@@ -31,6 +31,7 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
+import caw.model
 from caw import markets
 from caw.constants import REGIME_BAND_ABS
 from caw.roots import REACHABLE
@@ -455,20 +456,27 @@ def _rates_beyond_normal_powers(curves):
 
 
 def test_hoisted_excess_reads_curve_powers_bit_for_bit_over_the_float_range(monkeypatch):
-    # The excess computes each curve quantity as scale * price**exponent and
-    # falls back to the curves where a power is not a normal float. At rates
-    # across the search's reach, next to where each power underflows or
+    # The excess reads each curve's scale and signed exponent once and takes
+    # each quantity by power_law, which works in logs where a power is not a
+    # normal float; a ceiling that is 0 or not a price goes to the curves. At
+    # rates across the search's reach, next to where each power underflows or
     # overflows, and where the ceiling is 0, it equals the curve-by-curve
-    # composition exactly, errors included; the fallback runs somewhere.
-    fallbacks = []
+    # composition exactly, errors included. Both the curves' branch and
+    # power_law's log branch run somewhere.
+    fallbacks, logs = [], []
     quantity = markets.IsoElasticCurve.quantity
-    curve_calls = []
+    curve_calls, exp_calls = [], []
 
     def counted(curve, price):
         curve_calls.append(price)
         return quantity(curve, price)
 
+    def counted_exp(x, exp=caw.model._exp):
+        exp_calls.append(x)
+        return exp(x)
+
     monkeypatch.setattr(markets.IsoElasticCurve, "quantity", counted)
+    monkeypatch.setattr(caw.model, "_exp", counted_exp)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -505,7 +513,7 @@ def test_hoisted_excess_reads_curve_powers_bit_for_bit_over_the_float_range(monk
         technology, supply, demand = s.technology, s.labor_supply_ts, s.labor_demand_ts
         compute_demand = s.compute_demand_exogenous
         w_clear = clear_market(supply, demand).price
-        factor = caw_ceiling(technology, 1.0, s.policy)
+        factor = markets._ceiling_factor(technology, s.policy)  # caw_ceiling at a unit rate, unbounded
 
         def composed(r_c):
             ceiling = factor * r_c  # caw_ceiling's product wherever r_c is a rate
@@ -528,14 +536,17 @@ def test_hoisted_excess_reads_curve_powers_bit_for_bit_over_the_float_range(monk
         if 0.0 < factor < math.inf and 0.0 < w_clear / factor < math.inf:
             rates.append(w_clear / factor)  # r_b, where the ceiling meets the clearing wage
         for r_c in rates:
-            del curve_calls[:]
+            del curve_calls[:], exp_calls[:]
             got = _outcome(excess, r_c)
             if curve_calls:
                 fallbacks.append(r_c)
+            if exp_calls:
+                logs.append(r_c)
             assert got == _outcome(composed, r_c)
 
     check()
     assert fallbacks
+    assert logs
 
 
 # --- the batch kernel ------------------------------------------------------------------

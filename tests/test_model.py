@@ -1,7 +1,10 @@
+import decimal
 import enum
 import math
+import random
 import sys
 import types
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -20,7 +23,7 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
-from caw.model import SECTIONS, Scenario, Violation, in_float_range
+from caw.model import SECTIONS, Scenario, Violation, in_float_range, power_law
 from conftest import make_scenario, raises_range_error
 
 
@@ -440,6 +443,44 @@ def test_curve_quantity_with_a_normal_power_is_the_plain_product(log_scale, log_
         return
     if sys.float_info.min <= power and elasticity > 0.0:
         assert curve.quantity(price) == curve.scale * power
+
+
+def _power_law_reference(scale, exponent, price):
+    """scale * price**exponent in 50-digit decimal arithmetic: by repeated
+    products at an integral exponent, else as exp(exponent * ln(price))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        if exponent == int(exponent):
+            return Decimal(scale) * Decimal(price) ** int(exponent)
+        return Decimal(scale) * (Decimal(exponent) * Decimal(price).ln()).exp()
+
+
+def test_power_law_matches_a_50_digit_reference_over_the_float_range():
+    # Scales and prices log-uniform in 1e-300..1e300 and exponents of 0,
+    # +/-1..3 or uniform in [-3, 3]: a normal result lies within 1e-12 of the
+    # reference, and the result is inf exactly where the reference overflows
+    # and below the normal range exactly where it underflows. Draws within
+    # 1e-12 of either edge are skipped: either answer is right there.
+    rng = random.Random(20260)
+    exponents = (0.0, 1.0, 2.0, 3.0, -1.0, -2.0, -3.0)
+    high, low = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
+    checked = {"normal": 0, "inf": 0, "below": 0}
+    for _ in range(2000):
+        scale, price = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        exponent = rng.choice(exponents) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+        got, ref = power_law(scale, exponent, price), _power_law_reference(scale, exponent, price)
+        if abs(ref / high - 1) < Decimal("1e-12") or abs(ref / low - 1) < Decimal("1e-12"):
+            continue
+        if ref > high:
+            assert got == math.inf, (scale, exponent, price)
+            checked["inf"] += 1
+        elif ref < low:
+            assert 0.0 <= got < sys.float_info.min, (scale, exponent, price)
+            checked["below"] += 1
+        else:
+            assert abs(Decimal(got) / ref - 1) <= Decimal("1e-12"), (scale, exponent, price)
+            checked["normal"] += 1
+    assert min(checked.values()) > 0, checked
 
 
 # --- the float-range rule ----------------------------------------------------------

@@ -468,6 +468,11 @@ def test_trajectory_strictly_decreasing_when_improving():
     assert all(a > b for a, b in zip(ceilings, ceilings[1:]))
 
 
+def test_trajectory_whose_ceiling_overflows_is_a_range_error():
+    with raises_range_error("wage ceiling lambda*k*(1+tau_c)*mu*r_c"):
+        caw_trajectory(Technology(lam=1e200, k=1e200), 1.0, [0.0, 1.0])
+
+
 def test_trajectory_rejects_descending_grid():
     with pytest.raises(InvalidInput):
         caw_trajectory(Technology(lam=1.0, k=1.0), 2.0, [1.0, 0.5])
