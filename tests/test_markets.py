@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import caw.model
 from caw import (
     SWEEPABLE_PARAMS,
     CawError,
@@ -31,7 +32,6 @@ from caw import (
     supply_curve,
     validate_scenario,
 )
-import caw.model
 from caw import markets
 from caw.constants import REGIME_BAND_ABS
 from caw.roots import REACHABLE
