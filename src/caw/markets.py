@@ -82,8 +82,8 @@ class ClearingPoint(NamedTuple):
 
 
 def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
-    """The closed-form price of :func:`clear_market`, curves unchecked;
-    1.0 when both curves are perfectly inelastic with equal scales."""
+    """The closed-form price of :func:`clear_market` by :func:`caw.model.power_law`, curves
+    unchecked; 1.0 when both curves are perfectly inelastic with equal scales."""
     total_elasticity = supply.elasticity + demand.elasticity
     if total_elasticity == 0.0:
         if supply.scale == demand.scale:
@@ -94,10 +94,7 @@ def _clearing_price(supply: IsoElasticCurve, demand: IsoElasticCurve) -> float:
         )
     ratio = demand.scale / supply.scale
     if _MIN_NORMAL <= ratio < math.inf:
-        try:
-            price = ratio ** (1.0 / total_elasticity)
-        except OverflowError:
-            price = math.inf
+        price = power_law(1.0, 1.0 / total_elasticity, ratio)
     else:  # the ratio alone leaves the normal range; the price may not
         price = _exp((math.log(demand.scale) - math.log(supply.scale)) / total_elasticity)
     return in_float_range(price, "clearing price")
@@ -108,34 +105,28 @@ def clear_market(
 ) -> ClearingPoint:
     """Unique price with supply(p) == demand(p).
 
-    ``method="closed_form"`` uses p* = (D0/S0)**(1/(es+ed)); the
-    ``"root_search"`` method runs the bracketed Brent search on log price.
-    The two agree to PRICE_REL_TOL and the test suite cross-checks them.
+    ``method`` is checked first, else InvalidInput: ``"closed_form"`` uses p* = (D0/S0)**(1/(es+ed)),
+    ``"root_search"`` the bracketed Brent search on log price. Both report the same fields, the
+    residual being |demand - supply| at the price; they agree to PRICE_REL_TOL (tests cross-check).
 
     When both curves are perfectly inelastic the quantity is pinned and any
     price clears: equal scales return the unit-price convention, unequal
     scales have no equilibrium. Curves outside :func:`caw.model.require_curve`
     raise InvalidInput.
     """
+    if method not in ("closed_form", "root_search"):
+        raise InvalidInput(f"unknown clearing method {method!r}")
     require_curve(supply, CurveKind.SUPPLY, "supply")
     require_curve(demand, CurveKind.DEMAND, "demand")
     if method == "closed_form" or supply.elasticity + demand.elasticity == 0.0:
-        price = _clearing_price(supply, demand)
-        quantity = supply.quantity(price)
-        residual = abs(demand.quantity(price) - quantity)
-        return ClearingPoint(price=price, quantity=quantity, iterations=0, residual=residual)
-    if method == "root_search":
+        price, iterations = _clearing_price(supply, demand), 0
+    else:
         def excess(p: float) -> float:
             return demand.quantity(p) - supply.quantity(p)
 
-        report = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * supply.scale)
-        return ClearingPoint(
-            price=report.root,
-            quantity=supply.quantity(report.root),
-            iterations=report.iterations,
-            residual=report.residual,
-        )
-    raise InvalidInput(f"unknown clearing method {method!r}")
+        price, iterations, *_ = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * supply.scale)
+    quantity = supply.quantity(price)
+    return ClearingPoint(price, quantity, iterations, abs(demand.quantity(price) - quantity))
 
 
 def _exogenous(demand: IsoElasticCurve | None) -> IsoElasticCurve:

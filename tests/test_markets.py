@@ -1,9 +1,11 @@
 import contextlib
+import decimal
 import math
 import random
 import sys
 
 import pytest
+from decimal import Decimal
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -76,9 +78,18 @@ def test_clear_market_price_beyond_float_range_raises(d0):
         clear_market(supply_curve(1.0, 0.0), demand_curve(d0, 0.001))
 
 
-def test_clear_market_rejects_an_unknown_method():
+@pytest.mark.parametrize(
+    "supply, demand",
+    [
+        (supply_curve(1.0, 1.0), demand_curve(4.0, 1.0)),
+        # Perfectly inelastic pairs clear without a method; it is checked first all the same.
+        (supply_curve(3.0, 0.0), demand_curve(3.0, 0.0)),
+        (supply_curve(2.0, 0.0), demand_curve(3.0, 0.0)),
+    ],
+)
+def test_clear_market_rejects_an_unknown_method(supply, demand):
     with pytest.raises(InvalidInput, match="^unknown clearing method 'bisect'$"):
-        clear_market(supply_curve(1.0, 1.0), demand_curve(4.0, 1.0), method="bisect")
+        clear_market(supply, demand, method="bisect")
 
 
 def test_clear_market_kind_mismatch_rejected():
@@ -961,6 +972,45 @@ def test_clearing_price_in_range_where_the_scale_ratio_is_not(supply, demand, pr
 def test_clearing_price_beyond_the_float_range_is_a_range_error():
     with raises_range_error("clearing price"):
         clear_market(supply_curve(1e-300, 1.0), demand_curve(1e300, 0.0))
+
+
+def _clearing_price_reference(s0, es, d0, ed):
+    """(d0/s0)**(1/(es+ed)) in 50-digit decimal arithmetic, as exp((ln d0 - ln s0)/(es+ed))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return ((Decimal(d0).ln() - Decimal(s0).ln()) / (Decimal(es) + Decimal(ed))).exp()
+
+
+def test_clearing_price_matches_a_50_digit_reference_over_the_float_range():
+    # Scales log-uniform over e^-690..e^709, supply elasticity 0 or in
+    # [0.05, 5], demand elasticity in [0.05, 5]: a normal price lies within
+    # 1e-12 * max(1, 1/(es+ed)) of the reference (the exponent magnifies the
+    # rounding of the scale ratio), and the range error comes exactly where
+    # the reference lies beyond the normal range. Draws within 1e-12 of either
+    # edge are skipped: either answer is right there.
+    rng = random.Random(20261)
+    high, low = Decimal(sys.float_info.max), Decimal(sys.float_info.min)
+    checked = {"normal": 0, "above": 0, "below": 0}
+    for _ in range(1500):
+        s0, d0 = (math.exp(rng.uniform(-690.0, 709.0)) for _ in range(2))
+        es = 0.0 if rng.random() < 0.25 else rng.uniform(0.05, 5.0)
+        ed = rng.uniform(0.05, 5.0)
+        ref = _clearing_price_reference(s0, es, d0, ed)
+        if abs(ref / high - 1) < Decimal("1e-12") or abs(ref / low - 1) < Decimal("1e-12"):
+            continue
+        draw = (s0, es, d0, ed)
+        try:
+            got = markets._clearing_price(supply_curve(s0, es), demand_curve(d0, ed))
+        except SolverError as exc:
+            assert str(exc) == "clearing price lies outside the floating-point range", draw
+            assert not low <= ref <= high, draw
+            checked["above" if ref > high else "below"] += 1
+            continue
+        assert low <= ref <= high, draw
+        tolerance = Decimal(1e-12 * max(1.0, 1.0 / (es + ed)))
+        assert abs(Decimal(got) / ref - 1) <= tolerance, draw
+        checked["normal"] += 1
+    assert min(checked.values()) > 0, checked
 
 
 def test_batch_row_whose_labor_quantities_leave_the_float_range_is_a_solver_error():
