@@ -82,34 +82,40 @@ def ces_output(ces: CesParams, l_h: float, l_a: float) -> float:
     require_part(ces, "CES parameter ")
     require("l_h", l_h, 0.0, True)
     require("l_a", l_a, 0.0, True)
-    return in_float_range(_output(ces, l_h, l_a), "CES output", zero=True)
+    value, log_value = _output(ces, l_h, l_a)
+    return in_float_range(value, "CES output", log_value, zero=True)
 
 
-def _output(ces: CesParams, l_h: float, l_a: float) -> float:
-    """:func:`ces_output`, inputs unchecked and the result unbounded (inf where it overflows)."""
+def _output(ces: CesParams, l_h: float, l_a: float) -> tuple[float, float | None]:
+    """:func:`ces_output`, inputs unchecked and the result unbounded (inf where it overflows),
+    with its log where a factor may overflow while a small ``A`` or input brings the result back."""
+    if l_h == 0.0 and l_a == 0.0:
+        return 0.0, None
     branch = _branch(ces.sigma)
     if branch == "linear":
-        return ces.A * (ces.alpha * l_h + ces.beta * l_a)
+        total = ces.alpha * l_h + ces.beta * l_a
+        if total < math.inf:
+            return ces.A * total, None
+        # A term overflows: take the sum's log term by term (a zero input adds nothing).
+        log_h = math.log(ces.alpha) + math.log(l_h) if l_h > 0.0 else -math.inf
+        log_a = math.log(ces.beta) + math.log(l_a) if l_a > 0.0 else -math.inf
+        return total, math.log(ces.A) + _logaddexp(log_h, log_a)
     if branch == "leontief":
-        return ces.A * min(l_h, l_a)
+        return ces.A * min(l_h, l_a), None
     if branch == "cobb_douglas":
         if l_h == 0.0 or l_a == 0.0:
-            return 0.0
+            return 0.0, None
         a, b = _cd_exponents(ces)
-        return ces.A * _exp(a * math.log(l_h) + b * math.log(l_a))
+        return ces.A * _exp(a * math.log(l_h) + b * math.log(l_a)), None
 
     rho = ces.rho
-    if l_h == 0.0 and l_a == 0.0:
-        return 0.0
     if rho < 0.0 and (l_h == 0.0 or l_a == 0.0):
-        return 0.0  # zero-output limit of the complements case
-    if l_h == 0.0:
-        return power_law(ces.A, 1.0 / rho, ces.beta) * l_a
-    if l_a == 0.0:
-        return power_law(ces.A, 1.0 / rho, ces.alpha) * l_h
-    return ces.A * _exp(
-        _log_power_mean(ces.alpha, math.log(l_h), ces.beta, math.log(l_a), rho)
-    )
+        return 0.0, None  # zero-output limit of the complements case
+    if l_h == 0.0 or l_a == 0.0:  # one input x at weight w: A * w**(1/rho) * x
+        w, x = (ces.beta, l_a) if l_h == 0.0 else (ces.alpha, l_h)
+        return power_law(ces.A, 1.0 / rho, w) * x, math.log(ces.A) + math.log(w) / rho + math.log(x)
+    log_mean = _log_power_mean(ces.alpha, math.log(l_h), ces.beta, math.log(l_a), rho)
+    return ces.A * _exp(log_mean), math.log(ces.A) + log_mean
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -252,5 +258,5 @@ def leontief_requirements(ces: CesParams, l_eff_target: float) -> DemandPair:
     """
     require_part(ces, "CES parameter ")
     require("l_eff_target", l_eff_target)
-    per_input = l_eff_target / ces.A
+    per_input = _divided(l_eff_target, math.log(l_eff_target), ces.A, "CES demand", zero=True)
     return DemandPair(l_h=per_input, l_a=per_input)

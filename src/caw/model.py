@@ -168,9 +168,12 @@ class FactorPrices(NamedTuple):
 
     @classmethod
     def from_technology(cls, tech: Technology, w_h: float, r_c: float) -> "FactorPrices":
+        """The prices with ``w_a_eff`` from :func:`caw.bound.agent_wage`, which checks ``tech``."""
+        from .bound import agent_wage  # bound imports this module
+
         require("w_h", w_h, 0.0, True)
         require("r_c", r_c, 0.0, True)
-        return cls(w_h=w_h, w_a_eff=tech.k * r_c, r_c=r_c)
+        return cls(w_h=w_h, w_a_eff=agent_wage(tech, r_c), r_c=r_c)
 
 
 class PolicyLevers(NamedTuple):

@@ -266,7 +266,7 @@ def wage_bill_response(
     above the uncapped clearing wage raises CeilingNotBinding, since a slack
     ceiling would not be the operative wage; pass False to evaluate the
     states at the stated ceilings regardless. Curves outside
-    :func:`caw.model.require_curve` raise InvalidInput.
+    :func:`caw.model.require_curve` raise InvalidInput, a bill beyond the float range SolverError.
     """
     require("ceiling_before", ceiling_before)
     require("ceiling_after", ceiling_after)
@@ -283,8 +283,10 @@ def wage_bill_response(
 
     def state(ceiling: float) -> WageBillState:
         demand = output_demand.quantity(ceiling)
+        # Employment is at most a curve's scale: supply at a ceiling <= 1, else demand.
         employment = min(labor_supply.quantity(ceiling), demand)
-        return WageBillState(wage=ceiling, employment=employment, bill=ceiling * employment)
+        bill = in_float_range(ceiling * employment, "wage bill ceiling*employment", zero=True)
+        return WageBillState(wage=ceiling, employment=employment, bill=bill)
 
     return WageBillResponse(before=state(ceiling_before), after=state(ceiling_after))
 

@@ -1,6 +1,8 @@
+import decimal
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -251,6 +253,31 @@ def test_ces_output_beyond_the_float_range_is_a_range_error(ces, l_h, l_a):
         ces_output(ces, l_h, l_a)
 
 
+def _ces_output_reference(ces, l_h, l_a, rho):
+    """A * (alpha * l_h**rho + beta * l_a**rho)**(1/rho) in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        rho = Decimal(rho)
+        mean = Decimal(ces.alpha) * Decimal(l_h) ** rho + Decimal(ces.beta) * Decimal(l_a) ** rho
+        return Decimal(ces.A) * mean ** (1 / rho)
+
+
+@pytest.mark.parametrize(
+    "ces, l_h, l_a",
+    [
+        (CesParams(A=1e-300, alpha=1e10, beta=1e10, sigma=2.0), 1e308, 1e308),  # the power mean overflows
+        (CesParams(A=1e-300, alpha=1e10, beta=1e10, sigma=1e7), 1e300, 1e300),  # linear: alpha * l_h overflows
+        (CesParams(A=1e-300, alpha=1.0, beta=1e40, sigma=16 / 15), 0.0, 1e-100),  # A * beta**(1/rho) overflows
+        (CesParams(A=1e-300, alpha=1e40, beta=1.0, sigma=16 / 15), 1e-100, 0.0),
+    ],
+)
+def test_ces_output_in_range_where_a_factor_overflows(ces, l_h, l_a):
+    # About 4e28, 2e10 and 1e240: a small A (or input) brings the result back into range.
+    rho = 1.0 if ces.sigma >= 1e6 else ces.rho  # the linear branch is the perfect-substitute form
+    expected = _ces_output_reference(ces, l_h, l_a, rho)
+    assert abs(Decimal(ces_output(ces, l_h, l_a)) / expected - 1) <= Decimal("1e-12")
+
+
 def test_ces_output_may_underflow():
     subnormal = ces_output(CesParams(A=1e-300, alpha=1.0, beta=1.0, sigma=1e7), 1e-10, 1e-10)
     assert subnormal == 1e-300 * 2e-10 < sys.float_info.min
@@ -318,6 +345,13 @@ def test_leontief_routing_at_threshold():
     pair = conditional_demands(ces, 3.0, 0.2)
     req = leontief_requirements(ces, 1.0)
     assert (pair.l_h, pair.l_a) == (req.l_h, req.l_a)
+
+
+def test_leontief_requirements_beyond_the_float_range_are_a_range_error():
+    with raises_range_error("CES demand"):
+        leontief_requirements(CesParams(A=1e-300, alpha=1.0, beta=1.0, sigma=1e-5), 1e300)
+    tiny = leontief_requirements(CesParams(A=1e300, alpha=1.0, beta=1.0, sigma=1e-5), 1e-20)
+    assert 0.0 < tiny.l_h == tiny.l_a < sys.float_info.min  # an underflow comes back
 
 
 def test_leontief_rejects_nonpositive_target():

@@ -138,6 +138,14 @@ def test_factor_prices_satisfy_agent_wage_identity():
     assert fp.w_a_eff == tech.k * fp.r_c
 
 
+def test_factor_prices_take_the_agent_wage_by_its_rules():
+    # k * r_c overflows; a negative lam breaks the technology rule.
+    with raises_range_error("agent wage k*r_c"):
+        FactorPrices.from_technology(Technology(lam=1.0, k=1e300), 1.0, 1e300)
+    with pytest.raises(InvalidInput, match="lam"):
+        FactorPrices.from_technology(Technology(lam=-1.0, k=2.0), 1.0, 2.0)
+
+
 def test_task_profile_counterfactual_defaults_to_comp_wage():
     profile = TaskProfile(s_sub=0.8, w_comp=25.0)
     assert profile.w_counterfactual == 25.0

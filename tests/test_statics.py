@@ -512,6 +512,13 @@ def test_bill_equals_wage_times_employment_and_caps_both_curves():
         assert state.employment <= supply_curve(1.0, 1.0).quantity(state.wage)
 
 
+def test_wage_bill_beyond_the_float_range_is_a_range_error():
+    # Employment is 1e150 at a ceiling of 1e300 and 1e200 at 1e200: both bills overflow.
+    for before, after in ((1e300, 1e200), (1e200, 1e300)):
+        with raises_range_error("wage bill ceiling*employment"):
+            wage_bill_response(demand_curve(1e300, 0.5), supply_curve(1e300, 0.0), before, after, check_binding=False)
+
+
 @pytest.mark.parametrize(
     "output_demand, labor_supply",
     [
