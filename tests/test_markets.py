@@ -3,9 +3,9 @@ import decimal
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
-from decimal import Decimal
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
