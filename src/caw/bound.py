@@ -15,9 +15,10 @@ A wage beyond the float range raises SolverError (:func:`caw.model.in_float_rang
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from .model import PolicyLevers, Regime, Technology, in_float_range, require, require_part
+from .model import _MIN_NORMAL, PolicyLevers, Regime, Technology, in_float_range, require, require_part
 
 
 class Allocation(NamedTuple):
@@ -34,6 +35,7 @@ class Allocation(NamedTuple):
 
 
 CEILING = "wage ceiling lambda*k*(1+tau_c)*mu*r_c"  # its name in caw.model.in_float_range's error
+COST = "least cost of the effective units"
 
 
 def require_rate(r_c: float) -> None:
@@ -84,7 +86,10 @@ def linear_costmin(
     Both objective and constraint are linear, so the optimum is a corner:
     all-human when ``w_h`` is below the ceiling, all-agent when above. At
     exact indifference the human corner wins by default (``prefer_agents_on_tie``
-    flips that) and the tie is flagged so the choice is auditable.
+    flips that) and the tie is flagged so the choice is auditable. The two
+    cost products decide where both are normal floats, and their logs where
+    one is not. The cost and agent labor may underflow, not overflow
+    (:func:`caw.model.in_float_range`).
     """
     require_part(tech)
     require("effective_units", effective_units)
@@ -94,14 +99,27 @@ def linear_costmin(
     human_cost = w_h * effective_units
     agent_units = tech.lam * effective_units
     agent_cost = r_c * tech.k * agent_units
+    log_units = math.log(effective_units)
+    log_human = _log(w_h) + log_units
+    log_agent_units = math.log(tech.lam) + log_units
+    log_agent = _log(r_c) + math.log(tech.k) + log_agent_units
+    # The products decide where both are normal floats; else their logs, exact
+    # where a product overflowed (two infs are no tie) or lost digits.
+    if _MIN_NORMAL <= min(human_cost, agent_cost) and max(human_cost, agent_cost) < math.inf:
+        human, agent = human_cost, agent_cost
+    else:
+        human, agent = log_human, log_agent
 
-    if human_cost == agent_cost:
-        if prefer_agents_on_tie:
-            return Allocation(l_h=0.0, l_a=agent_units, cost=agent_cost, tie=True)
-        return Allocation(l_h=effective_units, l_a=0.0, cost=human_cost, tie=True)
-    if human_cost < agent_cost:
-        return Allocation(l_h=effective_units, l_a=0.0, cost=human_cost)
-    return Allocation(l_h=0.0, l_a=agent_units, cost=agent_cost)
+    tie = human == agent
+    if human < agent or tie and not prefer_agents_on_tie:
+        return Allocation(effective_units, 0.0, in_float_range(human_cost, COST, log_human, zero=True), tie)
+    l_a = in_float_range(agent_units, "agent labor lam*effective_units", log_agent_units, zero=True)
+    return Allocation(0.0, l_a, in_float_range(agent_cost, COST, log_agent, zero=True), tie)
+
+
+def _log(x: float) -> float:
+    """log x, -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def classify_regime(w_h_candidate: float, ceiling: float, tolerance: float) -> Regime:

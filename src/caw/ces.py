@@ -26,7 +26,9 @@ Three parameter regimes are handled by dedicated branches (thresholds in
   within the branch.
 * ``sigma >= 1e6``: perfect substitutes. Evaluation delegates to the linear
   corner logic of :func:`caw.bound.linear_costmin` with lam = alpha/beta,
-  since alpha**sigma over/underflows long before that point.
+  since alpha**sigma over/underflows long before that point; where lam, the
+  units or the cheaper corner's labor or cost is not a normal float, that
+  corner is priced in logs instead.
 * ``sigma <= 1e-4``: fixed proportions. The weights wash out of the
   sigma -> 0 limit, leaving requirements of ``target/A`` of each input.
 
@@ -168,15 +170,13 @@ def _linear_equivalent(ces: CesParams, w_h: float, w_a: float) -> Allocation:
     # agents, and rescales to the unit isoquant l_h + l_a/lam >= 1/(A*alpha) with lam = alpha/beta.
     log_h, log_a = -math.log(ces.A) - math.log(ces.alpha), -math.log(ces.A) - math.log(ces.beta)
     humans = math.log(w_h) + log_h <= math.log(w_a) + log_a
+    log_l, log_w = (log_h, math.log(w_h)) if humans else (log_a, math.log(w_a))
     scale, lam = ces.A * ces.alpha, ces.alpha / ces.beta
     units = 1.0 / scale if scale > 0.0 else math.inf
-    if 0.0 < units < math.inf and 0.0 < lam < math.inf:
-        alloc = linear_costmin(w_h, Technology(lam=lam, k=1.0, g=0.0), w_a, units)
-        # Where lam * units overflows, the agent corner was priced at inf.
-        if 0.0 < alloc.cost < math.inf and (lam * units < math.inf or humans):
-            return alloc
-    # A step above left the float range: price the cheaper corner in logs.
-    log_l, log_w = (log_h, math.log(w_h)) if humans else (log_a, math.log(w_a))
+    # linear_costmin's products serve where its inputs and the cheaper corner's
+    # labor and cost are normal floats; elsewhere price that corner in logs.
+    if all(_MIN_NORMAL <= x < math.inf for x in (units, lam, _exp(log_l), _exp(log_l + log_w))):
+        return linear_costmin(w_h, Technology(lam=lam, k=1.0, g=0.0), w_a, units)
     labor = in_float_range(_exp(log_l), "CES demand", zero=True)
     cost = in_float_range(_exp(log_l + log_w), "CES unit cost")
     return Allocation(labor, 0.0, cost) if humans else Allocation(0.0, labor, cost)

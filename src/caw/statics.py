@@ -29,7 +29,13 @@ check is visible.
 ``direct`` takes it in closed form at the base point: the implicit function
 theorem on supply l_h = S0*w_h**e, the output target and the relative wage
 gives sigma*s_a / (sigma*s_a + e), s_a = 1/(1 + (w_h*l_h)/(w_a_eff*l_a)) being
-the agents' cost share. ``fd``, from two more solves, is the independent check.
+the agents' cost share. ``fd``, from two more solves at w_a_eff*exp(+-h), is the
+independent check. Those two searches start near their roots: moving log w_a_eff
+by +-h moves b by +-h, so by the implicit function theorem the root moves from
+the base root v0 by about -+e*h/g'(v0), g'(v) = e/sigma + s(v) with s the
+agents' weight in M_p (below). A bracket only says where to look: each shifted
+root still meets g = 0 to STATICS_WAGE_REL_TOL, so ``fd`` stays independent of
+``direct``.
 
 ``solve_statics_point`` solves in the log input ratio v = log(l_a/l_h). There
 the relative wage is exact, log w_h = b + v/sigma with b = log(w_a_eff*alpha/beta),
@@ -58,7 +64,7 @@ from .errors import CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import _clearing_price
 from .model import CesParams, CurveKind, IsoElasticCurve, _exp, in_float_range
 from .model import PolicyLevers, Technology, require, require_curve, require_part
-from .roots import REACHABLE, find_root
+from .roots import DEFAULT_BRACKET, REACHABLE, find_root
 
 
 class StaticsSetup(NamedTuple):
@@ -125,8 +131,13 @@ def solve_statics_point(su: StaticsSetup) -> StaticsPoint:
     return _statics_point(su)
 
 
-def _statics_point(su: StaticsSetup) -> StaticsPoint:
-    """:func:`solve_statics_point` on a setup whose inputs met their rules."""
+def _statics_point(su: StaticsSetup, near: tuple[float, float] | None = None) -> StaticsPoint:
+    """:func:`solve_statics_point` on a setup whose inputs met their rules.
+
+    ``near = (v0, shift)`` says that v0 is the root of this setup with log
+    w_a_eff less by ``shift``; a search then starts from a bracket around the
+    root that predicts (see :func:`semi_elasticity`), else from the default one.
+    """
     ces, demand, supply, w_a_eff = su
     A, alpha, beta, sigma = ces
     branch = _branch(sigma)
@@ -173,9 +184,21 @@ def _statics_point(su: StaticsSetup) -> StaticsPoint:
             def g(v: float) -> float:
                 return e * (b + v / sigma) + _log_power_mean(alpha, 0.0, beta, v, p) - log_target
 
+            bracket = DEFAULT_BRACKET
+            if near is not None:
+                # b moves by the shift; by the implicit function theorem v moves by
+                # -e*shift/g'(v0), g'(v) = e/sigma + s(v) with s the agents' weight in M_p.
+                # A bracket a quarter step either side of that; the default where it is not in reach.
+                v0, shift = near
+                slope = e / sigma + 1.0 / (1.0 + _exp(math.log(alpha) - math.log(beta) - p * v0))
+                if slope > 0.0:
+                    step = e * shift / slope
+                    lo, hi = sorted((v0 - 1.25 * step, v0 - 0.75 * step))
+                    if REACHABLE[0] <= lo and hi <= REACHABLE[1]:
+                        bracket = (lo, hi)
             tol = constants.STATICS_WAGE_REL_TOL
             try:
-                report = find_root(lambda r: g(math.log(r)), abs_tol=tol, rel_tol=tol)
+                report = find_root(lambda r: g(math.log(r)), abs_tol=tol, rel_tol=tol, bracket=bracket)
             except NoEquilibrium:
                 report = None  # raised below, so the error holds no frames of the search
             if report is None:
@@ -205,6 +228,13 @@ def semi_elasticity(
     point (see the module docstring); ``fd`` differences the solved wage
     directly. Both one-sided differences are reported for diagnosing steps
     near solver tolerance.
+
+    The base point is searched from the default bracket. Each shifted search
+    starts from the root predicted from the base root v0, v0 -+ e*h/(e/sigma +
+    s(v0)), plus or minus a quarter of that step, and widens as any search
+    does where the root lies outside. Its root meets g = 0 to the search
+    tolerance either way, so the start moves the one-sided differences by at
+    most 2*tol/(sigma*h) and ``fd`` stays a check independent of ``direct``.
     """
     if not (0.0 < rel_step <= 0.1):
         raise InvalidInput(f"rel_step must lie in (0, 0.1], got {rel_step!r}")
@@ -213,8 +243,11 @@ def semi_elasticity(
     base = solve_statics_point(su)
     # Only the agent wage, held by in_float_range, differs from the checked base: unchecked.
     shifted = "shifted agent wage w_a_eff*exp(+-rel_step)"
-    minus = _statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(-h), shifted)))
-    plus = _statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(h), shifted)))
+    v0 = math.log(base.l_a) - math.log(base.l_h)  # the base root in v = log(l_a/l_h)
+    minus = _statics_point(
+        StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(-h), shifted)), (v0, -h)
+    )
+    plus = _statics_point(StaticsSetup(ces, demand, supply, in_float_range(w_a_eff * math.exp(h), shifted)), (v0, h))
 
     fd = (math.log(plus.w_h) - math.log(minus.w_h)) / (2.0 * h)
     fd_forward = (math.log(plus.w_h) - math.log(base.w_h)) / h

@@ -15,7 +15,7 @@ from caw import (
     classify_regime,
     linear_costmin,
 )
-from caw.bound import CEILING
+from caw.bound import CEILING, COST
 from conftest import raises_range_error, rel_err
 
 
@@ -116,6 +116,26 @@ def test_costmin_allocation_meets_requirement_exactly():
 def test_costmin_rejects_nonpositive_units():
     with pytest.raises(InvalidInput):
         linear_costmin(1.0, Technology(lam=1.0, k=1.0), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0])
+def test_costmin_beyond_the_float_range_is_a_range_error(k):
+    # The corners cost 1e310 and 1e310*k: not a tie of two infs, nor an inf cost.
+    with raises_range_error(COST):
+        linear_costmin(1e300, Technology(lam=1e300, k=k), 1.0, 1e10)
+
+
+def test_costmin_compares_the_corners_in_logs_where_a_product_overflows():
+    # r_c*k overflows, but the agent corner costs 1e300*1e300*1e-300 = 1e300, below 1e305.
+    alloc = linear_costmin(1e305, Technology(lam=1e-300, k=1e300), 1e300, 1.0)
+    assert (alloc.l_h, alloc.l_a, alloc.tie) == (0.0, 1e-300, False)
+    assert rel_err(alloc.cost, 1e300) < 1e-12
+
+
+def test_costmin_at_zero_prices():
+    assert linear_costmin(0.0, Technology(lam=1.0, k=1.0), 0.0, 2.0) == (2.0, 0.0, 0.0, True)
+    assert linear_costmin(0.0, Technology(lam=1.0, k=1.0), 1.0, 2.0) == (2.0, 0.0, 0.0, False)
+    assert linear_costmin(1.0, Technology(lam=3.0, k=1.0), 0.0, 2.0) == (0.0, 6.0, 0.0, False)
 
 
 def test_corner_beats_random_interior_allocations():

@@ -237,6 +237,23 @@ def test_demands_linear_branch_matches_corner_costmin():
     assert ces_output(ces, pair.l_h, pair.l_a) == pytest.approx(1.0, rel=1e-12)
 
 
+# 1/(A*alpha) is 1e-294 humans a unit and alpha/beta * 1e-294 = 1e-321 agents, a subnormal.
+_SUBNORMAL_AGENTS = CesParams(A=1e300, alpha=1e-6, beta=1e21, sigma=1e7)
+
+
+def test_linear_branch_prices_a_subnormal_corner_in_logs():
+    # w_a*(alpha/beta)*(1/(A*alpha)) takes the digits the subnormal factor lost: 0.2 % off.
+    assert rel_err(unit_cost(_SUBNORMAL_AGENTS, 1e200, 1e200), 1e-121) < 1e-12
+    assert conditional_demands(_SUBNORMAL_AGENTS, 1e200, 1e200) == (0.0, 1e-321)
+
+
+def test_linear_branch_unit_cost_below_the_normal_range_is_a_range_error():
+    # The human corner is the cheaper one, at 1e-16 * 1e-294 = 1e-310: as in the other branches.
+    for f in (unit_cost, conditional_demands):
+        with raises_range_error("CES unit cost"):
+            f(_SUBNORMAL_AGENTS, 1e-16, 1e200)
+
+
 @pytest.mark.parametrize(
     "ces, l_h, l_a",
     [

@@ -142,17 +142,22 @@ _grid_positive = st.floats(min_value=0.4, max_value=2.5)
 _grid_weight = st.floats(min_value=0.2, max_value=0.8)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    A=st.floats(min_value=0.5, max_value=2.0),
-    alpha=_grid_weight,
-    beta=_grid_weight,
-    demand=_grid_positive,
-    scale=_grid_positive,
-    w_a_eff=_grid_positive,
-)
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0, 1e7])
-@pytest.mark.parametrize("supply_elasticity", [0.25, 0.5, 1.0, 2.0])
+def _grid_setups(test):
+    """Run ``test`` on setups over those ranges, on every CES branch the pool searches or not."""
+    test = pytest.mark.parametrize("supply_elasticity", [0.25, 0.5, 1.0, 2.0])(test)
+    test = pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0, 1e7])(test)
+    test = given(
+        A=st.floats(min_value=0.5, max_value=2.0),
+        alpha=_grid_weight,
+        beta=_grid_weight,
+        demand=_grid_positive,
+        scale=_grid_positive,
+        w_a_eff=_grid_positive,
+    )(test)
+    return settings(max_examples=25, deadline=None)(test)
+
+
+@_grid_setups
 def test_statics_point_supply_evaluation_budget(
     sigma, supply_elasticity, A, alpha, beta, demand, scale, w_a_eff
 ):
@@ -187,6 +192,66 @@ def test_statics_point_supply_evaluation_budget(
         assert reports == []
     else:
         assert len(reports) == 1 and reports[0].evaluations <= 20
+
+
+def _shifted_searches(su, rel_step=constants.DEFAULT_REL_STEP):
+    """semi_elasticity's search reports, and each shifted setup with the point it got."""
+    reports, points = [], []
+    point = statics._statics_point
+
+    def spy_root(*args, **kwargs):
+        reports.append(find_root(*args, **kwargs))
+        return reports[-1]
+
+    def spy_point(setup, near=None):
+        points.append((setup, near, point(setup, near)))
+        return points[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statics, "find_root", spy_root)
+        mp.setattr(statics, "_statics_point", spy_point)
+        semi_elasticity(su, rel_step)
+    return reports, [(setup, got) for setup, near, got in points if near is not None]
+
+
+def _assert_independent_solves_agree(shifted, sigma):
+    # Each root lies within the search tolerance of g's root in v, and log w_h = b + v/sigma.
+    bound = 2.0 * constants.STATICS_WAGE_REL_TOL / sigma + 1e-15
+    assert len(shifted) == 2
+    for setup, got in shifted:
+        assert abs(math.log(got.w_h) - math.log(solve_statics_point(setup).w_h)) <= bound
+
+
+@_grid_setups
+def test_semi_elasticity_shifted_searches_start_at_their_predicted_roots(
+    sigma, supply_elasticity, A, alpha, beta, demand, scale, w_a_eff
+):
+    su = StaticsSetup(
+        ces=CesParams(A=A, alpha=alpha, beta=beta, sigma=sigma),
+        l_eff_demand=demand,
+        labor_supply=supply_curve(scale, supply_elasticity),
+        w_a_eff=w_a_eff,
+    )
+    try:
+        reports, shifted = _shifted_searches(su)
+    except CawError:
+        return
+    if sigma == 1.0:
+        assert reports == []
+    else:
+        assert len(reports) == 3
+        assert all(r.evaluations <= 8 and r.expansions == 0 for r in reports[1:])
+    _assert_independent_solves_agree(shifted, sigma)
+
+
+def test_semi_elasticity_shifted_search_widens_where_its_predicted_bracket_misses():
+    # Near perfect substitutes the agents' weight turns fast in v, so at rel_step 0.1
+    # the forward root lies outside a quarter step around the linear prediction.
+    ces = CesParams(A=2.0, alpha=0.7, beta=0.8, sigma=1e7)
+    su = StaticsSetup(ces=ces, l_eff_demand=0.5, labor_supply=supply_curve(0.8, 1.0), w_a_eff=0.4)
+    reports, shifted = _shifted_searches(su, rel_step=0.1)
+    assert [r.expansions for r in reports] == [0, 0, 1]
+    _assert_independent_solves_agree(shifted, ces.sigma)
 
 
 def _near_one(sigma_and_alpha):
