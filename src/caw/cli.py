@@ -148,9 +148,16 @@ def _build_parser(stdout=None) -> argparse.ArgumentParser:
 def _load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read scenario file {path!r}: {exc}") from exc
     return parse_scenario(text)
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _rental_rate(s: Scenario, override: float | None) -> float:
@@ -284,6 +291,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         args = _build_parser(stdout).parse_args(argv)
         table = _HANDLERS[args.command](args)
         text = emit_table(table, args.format)
+        if args.out:
+            _write_output(args.out, text)
     except (ParseError, ValidationError, InvalidInput) as exc:
         _diagnostic(stderr, str(exc))
         return 2
@@ -292,9 +301,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return 3
     except SystemExit as exc:  # --help printed its text
         return exc.code or 0
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    if not args.out:
         stdout.write(text)
     return 0
 

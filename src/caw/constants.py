@@ -7,6 +7,8 @@ the solvers and the checks that gate them.
 
 from __future__ import annotations
 
+import math
+
 # --- CES kernel regime thresholds -------------------------------------------
 # |sigma - 1| below this band uses the Cobb-Douglas limit branch.
 SIGMA_ONE_BAND = 1e-9
@@ -29,6 +31,7 @@ EXCESS_ABS_TOL_SCALE = 1e-9       # absolute excess-demand tolerance per unit of
 MAX_ITER = 200                    # iteration cap for all bracketing searches
 BRACKET_LO = 1e-9                 # initial price bracket, expanded geometrically
 BRACKET_HI = 1e9
+DEFAULT_BRACKET = (math.log(BRACKET_LO), math.log(BRACKET_HI))  # the same on a search's log axis
 BRACKET_EXPANSIONS = 3            # maximum number of bracket expansions
 
 # --- Comparative statics -------------------------------------------------------

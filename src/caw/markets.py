@@ -25,12 +25,14 @@ holds every curve to them, :func:`clear_market` checks its two curves with
 :func:`caw.bound.require_rate` once, on entry to :func:`solve_batch`.
 
 Root searches go through :func:`caw.roots.find_root`: Brent's method on
-log price, by default over the initial bracket [1e-9, 1e9] expanded
-geometrically a bounded number of times, which is scale-free and robust for
-iso-elastic curves. The coupled fixed point knows more. Above the rental
-rate r_b at which the ceiling meets the uncapped clearing wage, agents are
-unused, so where the exogenous compute price r0 lies above r_b it is the
-fixed point and no search runs; otherwise the search starts from the known
+log price x, by default over the initial bracket [log 1e-9, log 1e9]
+widened a bounded number of times, which is scale-free and robust for
+iso-elastic curves. The search returns x; only this module turns it into a
+price: each excess it searches starts from exp(x), and so does its root.
+The coupled fixed point knows more. Above the rental rate r_b at which the
+ceiling meets the uncapped clearing wage, agents are unused, so where the
+exogenous compute price r0 lies above r_b it is the fixed point and no
+search runs; otherwise the search starts from the logs of the known
 bracket [r0, r_b] (or a floor below r_b without exogenous demand), and
 the compute price r0, like a capped row's, is computed once per sweep unless
 a compute curve is swept. The search's excess reads each curve's scale and
@@ -69,7 +71,7 @@ from .model import (
     validate_scenario,
     within,
 )
-from .roots import DEFAULT_BRACKET, REACHABLE, find_root
+from .roots import REACHABLE, find_root
 
 
 class ClearingPoint(NamedTuple):
@@ -121,10 +123,12 @@ def clear_market(
     if method == "closed_form" or supply.elasticity + demand.elasticity == 0.0:
         price, iterations = _clearing_price(supply, demand), 0
     else:
-        def excess(p: float) -> float:
+        def excess(x: float) -> float:
+            p = math.exp(x)
             return demand.quantity(p) - supply.quantity(p)
 
-        price, iterations, *_ = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * supply.scale)
+        x, iterations, *_ = find_root(excess, abs_tol=constants.EXCESS_ABS_TOL_SCALE * supply.scale)
+        price = math.exp(x)
     quantity = supply.quantity(price)
     return ClearingPoint(price, quantity, iterations, abs(demand.quantity(price) - quantity))
 
@@ -240,10 +244,6 @@ def _place_at_ceiling(
     )
 
 
-# Rental rates whose log lies in the range a default root search can reach.
-_LOWEST_RATE, _HIGHEST_RATE = math.exp(REACHABLE[0]), math.exp(REACHABLE[1])
-
-
 def _coupled_rate(
     tech: Technology,
     factor: float,
@@ -263,10 +263,11 @@ def _coupled_rate(
     unused and ``r0`` is the fixed point: no search runs. Otherwise the
     ceiling binds below ``r_b = w_clear / (lam * k * (1 + tau_c) * mu)`` and
     is slack above it, so the excess is >= 0 at ``r0`` and <= 0 at ``r_b``,
-    and Brent's method on log rental rate starts from [log r0, log r_b] or,
+    and Brent's method on log rental rate x starts from [log r0, log r_b] or,
     without ``r0`` or with one beyond the reach of a default search
     (:data:`caw.roots.REACHABLE`), from [min(log BRACKET_LO, log r_b - 1),
-    log r_b]. An ``r_b`` beyond that reach keeps the default bracket.
+    log r_b]. An ``r_b`` beyond that reach keeps the default bracket. The
+    excess and the rate returned are taken at exp(x).
 
     ``factor`` is the ceiling per unit rental rate of :func:`_place_at_ceiling`.
     Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
@@ -288,26 +289,26 @@ def _coupled_rate(
         if ceiling != 0.0 and w_clear <= ceiling:
             return r0
 
-    bracket = DEFAULT_BRACKET
+    bracket = constants.DEFAULT_BRACKET
     r_b = w_clear / factor if factor > 0.0 else 0.0
-    if _LOWEST_RATE <= r_b <= _HIGHEST_RATE:
-        hi = math.log(r_b)
+    if r_b > 0.0 and REACHABLE[0] <= (hi := math.log(r_b)) <= REACHABLE[1]:
         # Round up to where the ceiling is slack. A step of at least epsilon
         # moves exp(hi) by about one float spacing even where log r_b is near
         # 0 and its own spacing is far finer, so this ends within a step or two.
         while factor * math.exp(hi) < w_clear:
             hi += max(math.ulp(hi), sys.float_info.epsilon)
-        if r0 is not None and r0 >= _LOWEST_RATE:
-            bracket = (min(math.log(r0), hi), hi)  # r0 and r_b can round past each other
+        if r0 is not None and (lo := math.log(r0)) >= REACHABLE[0]:
+            bracket = (min(lo, hi), hi)  # r0 and r_b can round past each other
         else:
-            bracket = (min(DEFAULT_BRACKET[0], hi - 1.0), hi)
+            bracket = (min(constants.DEFAULT_BRACKET[0], hi - 1.0), hi)
 
     k, lam = tech.k, tech.lam
     (a_sup, e_sup), (a_exo, e_exo), (a_ls, e_ls), (a_ld, e_ld) = (
         _power(compute_supply), _power(compute_demand), _power(supply), _power(demand)
     )
 
-    def excess(r_c: float) -> float:
+    def excess(x: float) -> float:
+        r_c = math.exp(x)
         ceiling = factor * r_c
         if ceiling != 0.0 and w_clear <= ceiling:
             derived = 0.0
@@ -324,7 +325,7 @@ def _coupled_rate(
         return value
 
     abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
-    return find_root(excess, abs_tol=abs_tol, bracket=bracket).root
+    return math.exp(find_root(excess, abs_tol=abs_tol, bracket=bracket).root)
 
 
 def _power(curve: IsoElasticCurve | None) -> tuple[float, float]:

@@ -83,6 +83,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError:  # an integer literal longer than int() reads (sys.get_int_max_str_digits())
         raise ParseError("invalid JSON: an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nest deeper than the decoder reads") from None
     if not isinstance(doc, dict):
         raise ParseError(f"scenario document must be a JSON object, got {type(doc).__name__}")
 

@@ -46,9 +46,9 @@ and supply and output leave one condition
 
 with p = rho, or 1 for perfect substitutes; g rises in v. At Cobb-Douglas
 M is the line b_cd*v and log w_h = b + v; with fixed supply (e = 0) g is
-inverted in closed form; elsewhere the shared root finder searches v. Every
-branch ends in one tail: w_h from log w_h, l_h = supply(w_h) read once, and
-l_a = l_h*exp(v).
+inverted in closed form; elsewhere the shared root finder searches v itself,
+so g evaluates no price and its root is v. Every branch ends in one tail:
+w_h from log w_h, l_h = supply(w_h) read once, and l_a = l_h*exp(v).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .errors import CeilingNotBinding, Infeasible, InvalidInput, NoEquilibrium
 from .markets import _clearing_price
 from .model import CesParams, CurveKind, IsoElasticCurve, _exp, in_float_range
 from .model import PolicyLevers, Technology, require, require_curve, require_part
-from .roots import DEFAULT_BRACKET, REACHABLE, find_root
+from .roots import REACHABLE, find_root
 
 
 class StaticsSetup(NamedTuple):
@@ -184,21 +184,19 @@ def _statics_point(su: StaticsSetup, near: tuple[float, float] | None = None) ->
             def g(v: float) -> float:
                 return e * (b + v / sigma) + _log_power_mean(alpha, 0.0, beta, v, p) - log_target
 
-            bracket = DEFAULT_BRACKET
+            bracket = constants.DEFAULT_BRACKET
             if near is not None:
                 # b moves by the shift; by the implicit function theorem v moves by
                 # -e*shift/g'(v0), g'(v) = e/sigma + s(v) with s the agents' weight in M_p.
-                # A bracket a quarter step either side of that; the default where it is not in reach.
+                # A bracket a quarter step either side of that.
                 v0, shift = near
                 slope = e / sigma + 1.0 / (1.0 + _exp(math.log(alpha) - math.log(beta) - p * v0))
                 if slope > 0.0:
                     step = e * shift / slope
-                    lo, hi = sorted((v0 - 1.25 * step, v0 - 0.75 * step))
-                    if REACHABLE[0] <= lo and hi <= REACHABLE[1]:
-                        bracket = (lo, hi)
+                    bracket = tuple(sorted((v0 - 1.25 * step, v0 - 0.75 * step)))
             tol = constants.STATICS_WAGE_REL_TOL
             try:
-                report = find_root(lambda r: g(math.log(r)), abs_tol=tol, rel_tol=tol, bracket=bracket)
+                report = find_root(g, abs_tol=tol, rel_tol=tol, bracket=bracket)
             except NoEquilibrium:
                 report = None  # raised below, so the error holds no frames of the search
             if report is None:
@@ -211,7 +209,7 @@ def _statics_point(su: StaticsSetup, near: tuple[float, float] | None = None) ->
                     "the human wage gap has no sign change on the wage bracket: no wage in range "
                     "matches labor supply to the effective-labor demand target"
                 )
-            v = math.log(report.root)
+            v = report.root
         log_wh = b + v / sigma
 
     w_h = in_float_range(_exp(log_wh), "human wage")
@@ -232,7 +230,8 @@ def semi_elasticity(
     The base point is searched from the default bracket. Each shifted search
     starts from the root predicted from the base root v0, v0 -+ e*h/(e/sigma +
     s(v0)), plus or minus a quarter of that step, and widens as any search
-    does where the root lies outside. Its root meets g = 0 to the search
+    does where the root lies outside, so it reaches roots beyond the base
+    search's :data:`caw.roots.REACHABLE`. Its root meets g = 0 to the search
     tolerance either way, so the start moves the one-sided differences by at
     most 2*tol/(sigma*h) and ``fd`` stays a check independent of ``direct``.
     """

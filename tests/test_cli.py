@@ -505,6 +505,26 @@ def test_exit_two_on_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(bytes(range(128, 228)), "cannot read scenario file"), (b"[" * 200_000, "nest deeper")],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_exit_two_on_a_scenario_file_that_cannot_be_decoded(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(["solve", "--scenario", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/result.csv", "."], ids=["missing_directory", "directory"])
+def test_exit_two_on_an_output_file_that_cannot_be_written(tmp_path, target):
+    code, out, err = run(["table1", "--out", str(tmp_path / target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output file ") and err.count("\n") == 1
+
+
 def test_exit_two_on_bad_flags():
     code, _, _ = run(["bound", "--lambda", "2"])  # missing --k/--rc
     assert code == 2

@@ -383,7 +383,7 @@ def test_baseline_coupled_solve_evaluation_budget(baseline_scenario):
         res = solve_coupled(baseline_scenario)
     [(_excess, report)] = calls
     assert report.evaluations == 7  # the count README states
-    assert report.root == res.r_c_star
+    assert math.exp(report.root) == res.r_c_star
 
 
 @pytest.mark.parametrize(
@@ -421,7 +421,8 @@ def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(scenario):
         near = math.nextafter(near, math.inf)
         grid.append(near)
     sides = set()
-    for r_c in grid:
+    for x in map(_log_rate, grid):
+        r_c = math.exp(x)  # the excess searches log rate x and prices at exp(x)
         full = solve_capped_labor_market(scenario, r_c)
         sides.add(full.l_a_star > 0.0)
         exogenous = (
@@ -430,7 +431,7 @@ def test_hoisted_excess_matches_full_capped_solve_bit_for_bit(scenario):
             else 0.0
         )
         expected = full.k_c_star + exogenous - scenario.compute_supply.quantity(r_c)
-        assert excess(r_c) == expected
+        assert excess(x) == expected
     assert sides == {True, False}
 
 
@@ -439,6 +440,11 @@ _WIDE_CURVE = st.tuples(
     _WIDE_SCALE, st.one_of(st.just(0.0), st.integers(1, 3).map(float), st.floats(min_value=0.0, max_value=3.0))
 )
 _RATE = st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max)
+
+
+def _log_rate(r_c):
+    """The search coordinate log r_c of a rental rate; 0, inf and nan enter as -inf, inf and nan."""
+    return math.log(r_c) if 0.0 < r_c < math.inf else -math.inf if r_c == 0.0 else r_c
 
 
 def _outcome(fn, *args):
@@ -546,14 +552,14 @@ def test_hoisted_excess_reads_curve_powers_bit_for_bit_over_the_float_range(monk
         )
         if 0.0 < factor < math.inf and 0.0 < w_clear / factor < math.inf:
             rates.append(w_clear / factor)  # r_b, where the ceiling meets the clearing wage
-        for r_c in rates:
+        for x in map(_log_rate, rates):
             del curve_calls[:], exp_calls[:]
-            got = _outcome(excess, r_c)
+            got = _outcome(excess, x)
             if curve_calls:
-                fallbacks.append(r_c)
+                fallbacks.append(x)
             if exp_calls:
-                logs.append(r_c)
-            assert got == _outcome(composed, r_c)
+                logs.append(x)
+            assert got == _outcome(composed, math.exp(x))
 
     check()
     assert fallbacks
@@ -898,7 +904,7 @@ def test_coupled_solve_takes_the_closed_form_exactly_where_the_ceiling_is_slack(
         # wherever the excess tolerance (1e-9 of the supply scale) lies below
         # the rounding of the quantities at the root, which can cost 40 or more.
         [(_excess, report)] = calls
-        assert report.root == res.r_c_star
+        assert math.exp(report.root) == res.r_c_star
 
 
 def test_coupled_sweeps_of_the_baseline_take_few_evaluations(baseline_scenario):

@@ -188,7 +188,7 @@ def _one_of_each_record():
         bill.before,
         caw.table1()[0][0],
         caw.OutputTable(headers=("x",), rows=((1.0,),), metadata={"command": "x"}),
-        find_root(lambda p: 1.0 - p, abs_tol=1e-12),
+        find_root(lambda x: 1.0 - x, abs_tol=1e-12),
         FIELDS["policy.mu"],
         SECTIONS[0],
     ]

@@ -60,6 +60,12 @@ def test_invalid_json_reports_line():
         parse_scenario('{"caw_schema": 1,\n  "technology": }')
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000], ids=["array", "object"])
+def test_json_nested_deeper_than_the_decoder_reads_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nest deeper"):
+        parse_scenario(text)
+
+
 def test_non_numeric_field_rejected():
     with pytest.raises(ParseError, match="technology.k"):
         parse_scenario('{"caw_schema": 1, "technology": {"lambda": 1, "k": "one"}}')

@@ -22,8 +22,9 @@ from caw import (
     wage_bill_response,
 )
 from caw import constants, model, statics
+from caw.ces import _log_power_mean
 from caw.model import CurveKind, IsoElasticCurve
-from caw.roots import find_root
+from caw.roots import REACHABLE, find_root
 from conftest import raises_range_error, rel_err
 
 SYM = CesParams(A=1.0, alpha=0.5, beta=0.5, sigma=2.0)
@@ -252,6 +253,21 @@ def test_semi_elasticity_shifted_search_widens_where_its_predicted_bracket_misse
     reports, shifted = _shifted_searches(su, rel_step=0.1)
     assert [r.expansions for r in reports] == [0, 0, 1]
     _assert_independent_solves_agree(shifted, ces.sigma)
+
+
+def test_semi_elasticity_shifted_search_reaches_past_a_default_search():
+    # The base root lies just inside the reach of a default search; at rel_step 0.1
+    # the backward root lies beyond it. Its search starts from the predicted bracket
+    # and finds it, so the difference matches the closed form sigma/(sigma + e) = 2/3.
+    v0 = REACHABLE[1] - 0.03
+    # g(v0) = e*v0/sigma + M_p(v0) - log T = 0 with e = 1, b = 0 and log(A*S0) = 0.
+    demand = math.exp(v0 / SYM.sigma + _log_power_mean(SYM.alpha, 0.0, SYM.beta, v0, SYM.rho))
+    su = StaticsSetup(ces=SYM, l_eff_demand=demand, labor_supply=supply_curve(1.0, 1.0), w_a_eff=1.0)
+    reports, _shifted = _shifted_searches(su, rel_step=0.1)
+    assert abs(reports[0].root - v0) <= 1e-12 and reports[1].root > REACHABLE[1]
+    se = semi_elasticity(su, rel_step=0.1)
+    assert se.direct == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert abs(se.fd - se.direct) <= 1e-9
 
 
 def _near_one(sigma_and_alpha):
