@@ -33,8 +33,10 @@ The coupled fixed point knows more. Above the rental rate r_b at which the
 ceiling meets the uncapped clearing wage, agents are unused, so where the
 exogenous compute price r0 lies above r_b it is the fixed point and no
 search runs; otherwise the search starts from the logs of the known
-bracket [r0, r_b] (or a floor below r_b without exogenous demand), and
-the compute price r0, like a capped row's, is computed once per sweep unless
+bracket [r0, r_b] (or a floor below r_b without exogenous demand), cut to
+a closed-form bound on the root: where the ceiling binds, the excess is a
+sum of iso-elastic terms, each a line in x once taken in logs. The
+compute price r0, like a capped row's, is computed once per sweep unless
 a compute curve is swept. The search's excess reads each curve's scale and
 signed exponent once per row and takes each quantity by the curves' own
 rule, :func:`caw.model.power_law`, so it agrees with them bit for bit. No
@@ -193,6 +195,7 @@ def _agent_labor(
     return supply_at, demand_at, tech.lam * max(0.0, demand_at - supply_at)
 
 
+_LOG2 = math.log(2.0)
 _LABOR = "labor quantity at the equilibrium wage"  # in its float-range error; it may underflow, not overflow
 
 
@@ -266,14 +269,24 @@ def _coupled_rate(
     and Brent's method on log rental rate x starts from [log r0, log r_b] or,
     without ``r0`` or with one beyond the reach of a default search
     (:data:`caw.roots.REACHABLE`), from [min(log BRACKET_LO, log r_b - 1),
-    log r_b]. An ``r_b`` beyond that reach keeps the default bracket. The
-    excess and the rate returned are taken at exp(x).
+    log r_b]. An ``r_b`` beyond that reach keeps the default bracket. With
+    ``r0``, or without exogenous demand, the root lies below ``r_b``, and
+    that bracket is cut to a closed-form bound on the root, from the lines
+    the excess's four iso-elastic terms make in logs (see the comment in the
+    body). The excess and the rate returned are taken at exp(x).
 
     ``factor`` is the ceiling per unit rental rate of :func:`_place_at_ceiling`.
     Agent labor at each candidate rate is that of :func:`_place_at_ceiling`,
     read without building a result; a clearing error raises first. An excess
     inf - inf raises the float-range error: compute used and supplied are
     monotone in the rate, so the quantity that clears is that large too.
+    Where ``lam * gap`` or labor demand overflows, the excess reads +inf
+    although ``k * lam * gap`` may not: a search that stops on that jump
+    short of the excess tolerance, while the fixed point needs agent labor
+    ``(supply - exogenous demand) / k`` beyond the float range, or that finds
+    +inf at both ends of a bracket bounding the root, raises the labor
+    quantity's float-range error, as :func:`_place_at_ceiling` would at the
+    root.
 
     The excess reads each curve's scale and signed exponent once and takes
     each quantity by :func:`caw.model.power_law`, as the curves do; a
@@ -289,7 +302,12 @@ def _coupled_rate(
         if ceiling != 0.0 and w_clear <= ceiling:
             return r0
 
-    bracket = constants.DEFAULT_BRACKET
+    k, lam = tech.k, tech.lam
+    (a_sup, e_sup), (a_exo, e_exo), (a_ls, e_ls), (a_ld, e_ld) = (
+        _power(compute_supply), _power(compute_demand), _power(supply), _power(demand)
+    )
+
+    bracket, bounded = constants.DEFAULT_BRACKET, False
     r_b = w_clear / factor if factor > 0.0 else 0.0
     if r_b > 0.0 and REACHABLE[0] <= (hi := math.log(r_b)) <= REACHABLE[1]:
         # Round up to where the ceiling is slack. A step of at least epsilon
@@ -298,14 +316,61 @@ def _coupled_rate(
         while factor * math.exp(hi) < w_clear:
             hi += max(math.ulp(hi), sys.float_info.epsilon)
         if r0 is not None and (lo := math.log(r0)) >= REACHABLE[0]:
-            bracket = (min(lo, hi), hi)  # r0 and r_b can round past each other
+            lo = min(lo, hi)  # r0 and r_b can round past each other
         else:
-            bracket = (min(constants.DEFAULT_BRACKET[0], hi - 1.0), hi)
-
-    k, lam = tech.k, tech.lam
-    (a_sup, e_sup), (a_exo, e_exo), (a_ls, e_ls), (a_ld, e_ld) = (
-        _power(compute_supply), _power(compute_demand), _power(supply), _power(demand)
-    )
+            lo = min(constants.DEFAULT_BRACKET[0], hi - 1.0)
+        bracket = (lo, hi)
+        # With r0, or without exogenous demand, the excess is <= 0 at r_b, so
+        # the root lies below hi, where the ceiling binds.
+        bounded = r0 is not None or compute_demand is None
+    d11, d12 = e_ls - e_ld, e_sup - e_ld
+    d21, d22 = e_ls - e_exo, e_sup - e_exo
+    if bounded and d11 > 0.0 and d12 > 0.0 and (compute_demand is None or (d21 > 0.0 and d22 > 0.0)):
+        # There the excess is P - N, where P = k*lam*D(factor*r) plus
+        # exogenous demand falls in x and N = k*lam*S(factor*r) plus supply
+        # rises. Each term's log is a line in x, P_i = p_i + e_Pi*x or
+        # N_j = n_j + e_Nj*x, and the log of a sum of two lies between the
+        # larger term and that plus log 2. So at the root
+        # u(x) = max_i P_i - max_j N_j lies in [-dP, log 2], dP being log 2,
+        # or 0 where P is one term; u falls, and u(x) = t at
+        # x = max_i min_j (p_i - n_j - t) / (e_Nj - e_Pi). A slope difference
+        # of 0 (an inelastic pair) keeps the bracket above. The arithmetic is
+        # inline, with conditional expressions for min and max: it runs once
+        # per searched row.
+        log = math.log
+        log_f, log_kl = log(factor), log(k) + log(lam)
+        p1 = log_kl + log(a_ld) + e_ld * log_f
+        n1 = log_kl + log(a_ls) + e_ls * log_f
+        n2 = log(a_sup)
+        q11, q12 = (p1 - n1) / d11, (p1 - n2) / d12  # u(x) = 0 for P1 against each N_j
+        t11, t12 = _LOG2 / d11, _LOG2 / d12  # and t = log 2 moves each by this
+        finite = q11 + q12 + t11 + t12
+        b_lo = q11 - t11 if q11 - t11 < q12 - t12 else q12 - t12
+        if compute_demand is None:
+            b_hi = q11 if q11 < q12 else q12
+        else:
+            p2 = log(a_exo)
+            q21, q22 = (p2 - n1) / d21, (p2 - n2) / d22
+            t21, t22 = _LOG2 / d21, _LOG2 / d22
+            finite += q21 + q22 + t21 + t22
+            b_p2 = q21 - t21 if q21 - t21 < q22 - t22 else q22 - t22
+            if b_p2 > b_lo:
+                b_lo = b_p2
+            b_hi = q11 + t11 if q11 + t11 < q12 + t12 else q12 + t12
+            b_p2 = q21 + t21 if q21 + t21 < q22 + t22 else q22 + t22
+            if b_p2 > b_hi:
+                b_hi = b_p2
+        # Padded against rounding and cut to the bracket above. An exponent
+        # near either end of the float range can make a term inf or nan, which
+        # the comparisons would drop: then the bracket above stays, and so it
+        # does where rounding puts the ends past each other.
+        if -math.inf < finite < math.inf:
+            b_lo -= 1e-9 * (1.0 + abs(b_lo))
+            b_hi += 1e-9 * (1.0 + abs(b_hi))
+            lo = b_lo if b_lo > lo else lo
+            hi = b_hi if b_hi < hi else hi
+            if lo < hi:
+                bracket = (lo, hi)
 
     def excess(x: float) -> float:
         r_c = math.exp(x)
@@ -325,7 +390,28 @@ def _coupled_rate(
         return value
 
     abs_tol = constants.EXCESS_ABS_TOL_SCALE * compute_supply.scale
-    return math.exp(find_root(excess, abs_tol=abs_tol, bracket=bracket).root)
+    try:
+        report = find_root(excess, abs_tol=abs_tol, bracket=bracket)
+    except NoEquilibrium:
+        # Both ends of a bounded bracket read +inf: lam * gap or labor demand
+        # overflows at its top, and so at the root, which lies below.
+        if not bounded or excess(bracket[1]) != math.inf:
+            raise
+    else:
+        if report.residual <= abs_tol:
+            return math.exp(report.root)
+        # Short of the excess tolerance, the bracket collapsed to float
+        # resolution. Where it did so on the jump at which lam * gap or labor
+        # demand overflows to +inf (the excess reads +inf just below the
+        # root, past the bracket's other end: a collapsed bracket is at most
+        # 4e-16 or one float spacing wide), and the agent labor the fixed
+        # point needs, (supply - exogenous demand) / k, or that over lam lies
+        # beyond the float range, the root's labor quantity does too.
+        x, r_c = report.root, math.exp(report.root)
+        l_a = (power_law(a_sup, e_sup, r_c) - power_law(a_exo, e_exo, r_c)) / k
+        if max(l_a, l_a / lam) < math.inf or excess(x - 1e-15 * (1.0 + abs(x))) < math.inf:
+            return r_c
+    in_float_range(math.inf, _LABOR)
 
 
 def _power(curve: IsoElasticCurve | None) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from caw import (
     validate_scenario,
 )
 from caw import markets
-from caw.constants import REGIME_BAND_ABS
+from caw.constants import PRICE_REL_TOL, REGIME_BAND_ABS
 from caw.roots import REACHABLE
 from conftest import make_scenario, raises_range_error, rel_err, with_field
 
@@ -382,7 +382,7 @@ def test_baseline_coupled_solve_evaluation_budget(baseline_scenario):
     with _find_root_calls() as calls:
         res = solve_coupled(baseline_scenario)
     [(_excess, report)] = calls
-    assert report.evaluations == 7  # the count README states
+    assert report.evaluations == 6  # the count README states
     assert math.exp(report.root) == res.r_c_star
 
 
@@ -921,6 +921,169 @@ def test_coupled_sweeps_of_the_baseline_take_few_evaluations(baseline_scenario):
     evaluations = [report.evaluations for _excess, report in calls]
     assert sum(evaluations) / (200 * len(ranges)) <= 6.0
     assert max(evaluations) <= 10
+
+
+# The benchmark's coupled sweeps, drawn afresh: every curve elastic, scenario
+# values log-uniform over its ranges, and each of the four swept fields over
+# its sweep range, which is wider than the scenario's. A third of the
+# scenarios have no exogenous compute demand.
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+_BENCH_ELASTICITY = st.floats(min_value=0.3, max_value=2.0)
+_BENCH_SWEEPS = {"technology.lambda": (0.1, 10.0), "technology.k": (0.02, 10.0),
+                 "compute_supply.scale": (0.2, 5.0), "labor_demand_ts.scale": (1.0, 50.0)}
+
+
+@st.composite
+def _bench_coupled_scenarios(draw):
+    return make_scenario(
+        lam=draw(_log_uniform(0.25, 4.0)),
+        k=draw(_log_uniform(0.05, 5.0)),
+        compute_supply=(draw(_log_uniform(0.5, 2.0)), draw(_BENCH_ELASTICITY)),
+        compute_demand=draw(st.one_of(st.none(), st.tuples(_log_uniform(1.0, 8.0), _BENCH_ELASTICITY))),
+        labor_demand=(draw(_log_uniform(2.0, 20.0)), draw(_BENCH_ELASTICITY)),
+        labor_supply=(draw(_log_uniform(0.5, 2.0)), draw(_BENCH_ELASTICITY)),
+        tau_c=draw(st.floats(min_value=0.0, max_value=0.5)),
+        mu=draw(st.floats(min_value=1.0, max_value=1.5)),
+    )
+
+
+@st.composite
+def _bench_coupled_sweeps(draw):
+    param = draw(st.sampled_from(sorted(_BENCH_SWEEPS)))
+    start, stop = (draw(_log_uniform(*_BENCH_SWEEPS[param])) for _ in range(2))
+    return draw(_bench_coupled_scenarios()), param, grid(start, stop, 40, log=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep=_bench_coupled_sweeps())
+def test_closed_form_coupled_bracket_holds_the_root(sweep):
+    # The search starts from the closed-form bound on the root cut to
+    # [r0, r_b]: it never widens, and takes at most 10 evaluations (at most 8
+    # over the benchmark's own pools, 20 from [r0, r_b] alone).
+    s, param, values = sweep
+    with _find_root_calls() as calls:
+        rows = solve_batch(s, param, values, mode="coupled")
+    assert not any(isinstance(row, CawError) for row in rows)
+    for _excess, report in calls:
+        assert report.expansions == 0
+        assert report.evaluations <= 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=_bench_coupled_scenarios(), scales=st.lists(_log_uniform(0.2, 5.0), min_size=2, max_size=12))
+def test_coupled_solve_keeps_the_model_invariants(s, scales):
+    # The paper's lockstep and the ceiling's cap on every row, and more
+    # compute supply never raising the rental rate or the wage (to the root
+    # tolerance).
+    scales.sort()
+    rows = solve_batch(s, "compute_supply.scale", scales, mode="coupled")
+    tech, policy = s.technology, s.policy
+    lockstep = tech.lam * tech.k * (1.0 + policy.tau_c) * policy.mu
+    for row in rows:
+        assert row.w_h_star <= row.ceiling
+        assert row.ceiling_binds == (row.regime is Regime.MIXED)
+        assert rel_err(row.ceiling / row.r_c_star, lockstep) <= 4 * sys.float_info.epsilon
+    slack = 1.0 + 2 * PRICE_REL_TOL
+    for lower, higher in zip(rows, rows[1:]):
+        assert higher.r_c_star <= lower.r_c_star * slack
+        assert higher.w_h_star <= lower.w_h_star * slack
+
+
+def test_coupled_search_stopping_on_an_overflow_jump_is_a_range_error():
+    # lam * gap overflows although k * lam * gap would not, so the excess
+    # reads +inf below a rate and a finite value above it. Brent's method
+    # converges onto that jump and stops short of the excess tolerance. The
+    # fixed point needs agent labor supply / k, about 7e316: a float-range
+    # error, not a row with l_a_star at the float maximum whose compute use
+    # k * l_a misses supply by a factor of 4e8.
+    s = make_scenario(lam=4.080587783190874e93, k=8.08419670499219e-152,
+                      compute_supply=(5.531537429671904e165, 0.0), compute_demand=None,
+                      labor_demand=(1.203480942262821e52, 1.9698932030236027),
+                      labor_supply=(3.521568452057157e-118, 0.0), tau_c=0.6575436733126727, mu=1.7159934400323116)
+    with _find_root_calls() as calls:
+        with raises_range_error("labor quantity at the equilibrium wage"):
+            solve_coupled(s)
+    [(_excess, report)] = calls
+    assert report.residual > 1e-9 * s.compute_supply.scale
+    # A batch row is that error too, beside a k at which the row clears.
+    rows = solve_batch(s, "technology.k", [s.technology.k, 1e-140], mode="coupled")
+    assert isinstance(rows[0], SolverError) and "labor quantity" in str(rows[0])
+    assert rel_err(rows[1].k_c_star, s.compute_supply.scale) < 1e-9
+
+
+def test_coupled_bracket_whose_ends_both_overflow_is_a_range_error():
+    # lam * gap overflows across the whole closed-form bracket, and beyond it
+    # as far as the search widens, so its ends read +inf: the labor at the
+    # root, which lies below the bracket's top, is beyond the float range.
+    s = make_scenario(lam=1.8157094296563553e252, k=4.463133954622524e-171,
+                      compute_supply=(3.1628802363321737e271, 0.9667280137976333),
+                      compute_demand=(3.6524949779374763e220, 0.9530355265182799),
+                      labor_demand=(1.2987284896378219e57, 0.0),
+                      labor_supply=(1.1320430260618087e-217, 1.9842036406272476),
+                      tau_c=0.537994758910879, mu=1.3214025353622776)
+    with _find_root_calls() as calls:
+        with raises_range_error("labor quantity at the equilibrium wage"):
+            solve_coupled(s)
+    [(_excess, report)] = calls
+    assert report is None  # the search itself found no sign change
+
+
+def test_coupled_bracket_not_bounding_the_root_keeps_no_equilibrium():
+    # Exogenous demand's price lies beyond the float range (no r0), and it
+    # overflows at r_b too: both ends read +inf, but the fixed point lies
+    # above r_b, where the ceiling is slack and agents are unused, so the
+    # search's NoEquilibrium stands.
+    s = make_scenario(lam=2.9216932109789225e31, k=2.65275073997742e231,
+                      compute_supply=(1.7288354313648494e-299, 0.0),
+                      compute_demand=(1.9477522282737936e276, 1.3207678943710641),
+                      labor_demand=(4.105632595277686e-85, 0.5060786121828065),
+                      labor_supply=(1.0061305399163525e-188, 0.0), tau_c=0.8818428139415544, mu=1.5223393860273504)
+    with pytest.raises(NoEquilibrium, match="no sign change"):
+        solve_coupled(s)
+
+
+def test_coupled_search_stopping_on_a_jump_its_root_can_fill_keeps_its_row():
+    # Elasticities of 1e300 put the clearing wage at 1 and make labor demand
+    # overflow at any ceiling below it: the search stops on the jump at
+    # r_b = 1, short of the tolerance. The fixed point needs agent labor
+    # (supply - exogenous demand) / k = (1 - 0.25) / 1 there, which is in
+    # range, so the row stands as the search left it.
+    s = make_scenario(labor_demand=(2.0, 1e300), labor_supply=(1.0, 1e300), compute_demand=(0.25, 1.0))
+    res = solve_coupled(s)
+    assert res.r_c_star == 1.0 and res.regime is Regime.MIXED and res.l_a_star == 0.0
+
+
+def test_coupled_search_stopping_at_float_resolution_without_a_jump_keeps_its_row():
+    # Supply and exogenous demand, about 3.7e192 each, cancel at the root:
+    # their difference over k (3e-237) reads beyond the float range, yet the
+    # excess has no jump, and the row clears compute to rounding.
+    s = make_scenario(lam=18874992.54175334, k=3.0018487982214136e-237,
+                      compute_supply=(1.4847356745751079e172, 1.8327005785542003),
+                      compute_demand=(7.056936286354404e210, 1.6427053225877675),
+                      labor_demand=(30.555716249228134, 1.1891206620904688),
+                      labor_supply=(5.05659204757236e179, 0.0), tau_c=0.05423757181648747, mu=1.5454707117012436)
+    with _find_root_calls() as calls:
+        res = solve_coupled(s)
+    [(_excess, report)] = calls
+    assert report.residual > 1e-9 * s.compute_supply.scale
+    supplied = s.compute_supply.quantity(res.r_c_star)
+    assert rel_err(res.k_c_star + s.compute_demand_exogenous.quantity(res.r_c_star), supplied) < 1e-14
+
+
+def test_closed_form_coupled_bracket_keeps_the_known_bracket_where_a_line_is_not_finite():
+    # Labor demand's exponent times log factor overflows, so the bound's
+    # terms are inf and nan: the search keeps [r0, r_b] and does not widen,
+    # where a bound read through the dropped nan would miss the root.
+    s = make_scenario(lam=4e7, k=20.0, compute_supply=(3e8, 0.0), compute_demand=(3e-4, 0.75),
+                      labor_demand=(2e5, 1e307), labor_supply=(5e-6, 2.75))
+    with _find_root_calls() as calls:
+        res = solve_coupled(s)
+    [(_excess, report)] = calls
+    assert report.expansions == 0
+    assert math.exp(report.root) == res.r_c_star
 
 
 @settings(max_examples=100, deadline=None)
